@@ -20,13 +20,16 @@ into ``runner.stats`` (``explore_evaluations`` / ``explore_warm_hits``).
 
 from __future__ import annotations
 
+import heapq
 import inspect
 import itertools
 import math
+import operator
 import random
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..exec.keys import stable_key
 from .objectives import DseObjectives
@@ -47,12 +50,75 @@ class FidelityRung:
     evaluator: Callable[[Any], Any]
 
 
+class _ProductView(SequenceABC):
+    """Index-addressed view of a Cartesian product of axes.
+
+    Item ``i`` is decoded on demand from the ``i``-th value tuple of
+    ``itertools.product(*axes)`` (last axis fastest), so nothing is
+    materialized: memory is O(axes), not O(space).  Subclasses turn a value
+    tuple into an item.
+    """
+
+    def __init__(self, names: Tuple[Any, ...],
+                 axes: Tuple[Tuple[Any, ...], ...]):
+        self._names = names
+        self._axes = axes
+        self._len = math.prod(len(axis) for axis in axes)
+
+    def _item(self, values: Tuple[Any, ...]) -> Any:
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index: int) -> Any:
+        position = operator.index(index)
+        if position < 0:
+            position += self._len
+        if not 0 <= position < self._len:
+            raise IndexError(f"design-space index {index} out of range "
+                             f"for {self._len} candidates")
+        digits = []
+        for axis in reversed(self._axes):
+            position, digit = divmod(position, len(axis))
+            digits.append(axis[digit])
+        return self._item(tuple(reversed(digits)))
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(self._item, itertools.product(*self._axes))
+
+
+class _CandidateView(_ProductView):
+    """Candidates as ``{axis: value}`` dicts, in axis order."""
+
+    def _item(self, values: Tuple[Any, ...]) -> Dict[Any, Any]:
+        return dict(zip(self._names, values))
+
+
+class _CoordsView(_ProductView):
+    """Canonical coords: ``(axis, value)`` pairs sorted by axis name."""
+
+    def __init__(self, names: Tuple[Any, ...],
+                 axes: Tuple[Tuple[Any, ...], ...]):
+        super().__init__(names, axes)
+        self._order = tuple(sorted(range(len(names)),
+                                   key=names.__getitem__))
+
+    def _item(self, values: Tuple[Any, ...]) -> Coords:
+        names = self._names
+        return tuple((names[j], values[j]) for j in self._order)
+
+
 @dataclass(frozen=True)
 class DesignSpace:
-    """Candidates, their coordinates, and the fidelity ladder."""
+    """Candidates, their coordinates, and the fidelity ladder.
 
-    candidates: Tuple[Any, ...]
-    coords: Tuple[Coords, ...]
+    ``candidates`` and ``coords`` are any index-addressable sequences of
+    equal length: plain tuples, or the lazy views :meth:`from_axes` builds.
+    """
+
+    candidates: Sequence[Any]
+    coords: Sequence[Coords]
     #: Cheapest rung first; the last rung is the trusted full fidelity.
     ladder: Tuple[FidelityRung, ...]
 
@@ -74,16 +140,18 @@ class DesignSpace:
     @classmethod
     def from_axes(cls, axes: Mapping[str, Sequence[Any]],
                   ladder: Sequence[FidelityRung]) -> "DesignSpace":
-        """Cartesian-product space: each candidate is an axis->value dict."""
+        """Cartesian-product space: each candidate is an axis->value dict.
+
+        Candidates and coords are lazy views decoded by index in
+        ``itertools.product`` order; coords are the candidate's items
+        sorted by axis name.
+        """
         if not axes:
             raise ValueError("a design space needs at least one axis")
-        names = list(axes)
-        candidates, coords = [], []
-        for values in itertools.product(*(axes[name] for name in names)):
-            assignment = dict(zip(names, values))
-            candidates.append(assignment)
-            coords.append(tuple(sorted(assignment.items())))
-        return cls(candidates=tuple(candidates), coords=tuple(coords),
+        names = tuple(axes)
+        values = tuple(tuple(axes[name]) for name in names)
+        return cls(candidates=_CandidateView(names, values),
+                   coords=_CoordsView(names, values),
                    ladder=tuple(ladder))
 
 
@@ -175,6 +243,17 @@ def pareto_points(points: Sequence[ExplorationPoint],
     vectors = [objectives.minimized(p.values) for p in points]
     tokens = [_tie_token(p.coords) for p in points]
     return [points[i] for i in pareto_positions(vectors, tokens)]
+
+
+def _smallest_draws(draws: Sequence[float], afford: int) -> List[int]:
+    """Positions of the ``afford`` smallest draws, ties to the lower
+    position, in ascending position order.
+
+    The same subset as fully sorting by ``(draw, position)`` and slicing,
+    at O(n log afford) instead of O(n log n).
+    """
+    return sorted(position for _, position in heapq.nsmallest(
+        afford, zip(draws, itertools.count())))
 
 
 # --------------------------------------------------------------------------
@@ -391,8 +470,7 @@ class SuccessiveHalvingExplorer(Explorer):
                     # version reproducibility guarantee, and golden pins
                     # depend on the sampled subset.
                     draws = [rng.random() for _ in cohort]
-                    keep = sorted(sorted(range(len(cohort)),
-                                         key=lambda k: (draws[k], k))[:afford])
+                    keep = _smallest_draws(draws, afford)
                     sampled_out = len(cohort) - afford
                     cohort = [cohort[k] for k in keep]
             values = self._evaluate(space, rung, cohort, runner, exploration)

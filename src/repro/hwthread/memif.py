@@ -17,6 +17,7 @@ Two translation modes exist:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Union
 
 from ..mem.port import MemoryRequest, MemoryTarget
@@ -131,7 +132,7 @@ class MemoryInterface(Component):
                 callback=lambda _req: self._run_chunks(chunks, index + 1, on_done))
             self.count("transactions")
             self.schedule(self.config.issue_latency,
-                          lambda: self.bus_port.access(request))
+                          partial(self.bus_port.access, request))
 
         if self.mmu is not None:
             def on_translate(translation: Optional[Translation]) -> None:

@@ -70,6 +70,11 @@ class SystemBus(Component):
         self._queues: List[Deque[MemoryRequest]] = []
         self._ports: List[BusPort] = []
         self._inflight: List[int] = []
+        # Per-master stat keys, formatted once at attach time.
+        self._request_keys: List[str] = []
+        self._latency_keys: List[str] = []
+        #: Requests waiting in any master queue (sum of the queue lengths).
+        self._queued = 0
         self._busy = False
 
     # --------------------------------------------------------------- masters
@@ -80,6 +85,8 @@ class SystemBus(Component):
         self._ports.append(port)
         self._queues.append(deque())
         self._inflight.append(0)
+        self._request_keys.append(f"requests_from.{name}")
+        self._latency_keys.append(f"latency_for.{name}")
         return port
 
     @property
@@ -93,15 +100,22 @@ class SystemBus(Component):
     def submit(self, master_index: int, request: MemoryRequest) -> None:
         request.issue_cycle = self.now
         self._queues[master_index].append(request)
+        self._queued += 1
         self.count("requests")
-        self.count(f"requests_from.{self._ports[master_index].name}")
+        self.count(self._request_keys[master_index])
         if not self._busy:
             self._grant_next()
 
     # ----------------------------------------------------------- arbitration
     def _grant_next(self) -> None:
+        if not self._queued:
+            self._busy = False
+            return
+        config = self.config
+        limit = config.max_outstanding_per_master
+        inflight = self._inflight
         candidates = [i for i, q in enumerate(self._queues)
-                      if q and self._inflight[i] < self.config.max_outstanding_per_master]
+                      if q and inflight[i] < limit]
         if not candidates:
             self._busy = False
             return
@@ -109,24 +123,25 @@ class SystemBus(Component):
         self._busy = True
         chosen = self.arbiter.choose(candidates)
         request = self._queues[chosen].popleft()
-        self._inflight[chosen] += 1
+        self._queued -= 1
+        inflight[chosen] += 1
 
         wait = self.now - request.issue_cycle
         self.sample("queue_wait", wait)
         if wait > 0:
             self.count("contended_grants")
 
-        beats = max(1, (request.size + self.config.bus_width_bytes - 1)
-                    // self.config.bus_width_bytes)
-        occupancy = self.config.address_phase_cycles + beats
+        width = config.bus_width_bytes
+        beats = max(1, (request.size + width - 1) // width)
+        occupancy = config.address_phase_cycles + beats
         self.count("busy_cycles", occupancy)
 
         original_callback = request.callback
-        port_name = self._ports[chosen].name
+        latency_key = self._latency_keys[chosen]
 
         def on_complete(req: MemoryRequest, idx: int = chosen) -> None:
-            self._inflight[idx] -= 1
-            self.sample(f"latency_for.{port_name}", self.now - req.issue_cycle)
+            inflight[idx] -= 1
+            self.sample(latency_key, self.now - req.issue_cycle)
             if original_callback is not None:
                 original_callback(req)
             # A freed outstanding slot may unblock a queued request even if

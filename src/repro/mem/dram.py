@@ -10,6 +10,7 @@ closed-page/open-page hybrid: each bank keeps its last-open row; hits pay
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from ..sim.component import Component
 from ..sim.engine import Simulator
@@ -64,12 +65,13 @@ class DRAMModel(Component):
     def access(self, request: MemoryRequest) -> None:
         """Accept a request and schedule its completion."""
         cfg = self.config
-        request.issue_cycle = self.now
+        now = self.now
+        request.issue_cycle = now
 
         bank = self.bank_of(request.addr)
         row = self.row_of(request.addr)
 
-        start = max(self.now + cfg.controller_latency, self._bank_free[bank])
+        start = max(now + cfg.controller_latency, self._bank_free[bank])
 
         if self._open_rows[bank] == row:
             access_latency = cfg.row_hit_latency
@@ -96,10 +98,11 @@ class DRAMModel(Component):
         self._bank_free[bank] = finish
         self._data_bus_free = data_start + transfer_cycles
 
-        self.sample("latency", finish - self.now)
+        self.sample("latency", finish - now)
         self.count("requests")
 
-        self.schedule(finish - self.now, lambda r=request: r.complete(self.now))
+        # The event fires at ``finish``, the completion cycle it reports.
+        self.schedule(finish - now, partial(request.complete, finish))
 
     # ------------------------------------------------------------------ info
     @property

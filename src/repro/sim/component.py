@@ -20,21 +20,31 @@ class Component:
         self.sim = sim
         self.name = name
         self.stats: StatGroup = sim.stats.group(name)
+        # The group's own dicts, for one-lookup access on the hot path.  A
+        # stat is still created (and enters the snapshot) on first use only.
+        self._counters = self.stats.counters
+        self._accumulators = self.stats.accumulators
 
     # ------------------------------------------------------------ scheduling
     @property
     def now(self) -> int:
-        return self.sim.now
+        return self.sim._now
 
     def schedule(self, delay: int, callback: Callable[[], None]) -> Event:
         return self.sim.schedule(delay, callback)
 
     # ----------------------------------------------------------------- stats
     def count(self, stat: str, amount: int = 1) -> None:
-        self.stats.counter(stat).inc(amount)
+        counter = self._counters.get(stat)
+        if counter is None:
+            counter = self.stats.counter(stat)
+        counter.inc(amount)
 
     def sample(self, stat: str, value: float) -> None:
-        self.stats.accumulator(stat).add(value)
+        accumulator = self._accumulators.get(stat)
+        if accumulator is None:
+            accumulator = self.stats.accumulator(stat)
+        accumulator.add(value)
 
     def set_stat(self, stat: str, value: float) -> None:
         self.stats.scalar(stat).set(value)

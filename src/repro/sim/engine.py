@@ -13,7 +13,6 @@ scales with the number of transactions, not with the number of cycles.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .stats import StatsRegistry
@@ -23,31 +22,24 @@ class SimulationError(RuntimeError):
     """Raised when the simulation reaches an inconsistent state."""
 
 
-@dataclass(order=True)
-class _Event:
-    cycle: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    popped: bool = field(default=False, compare=False)
-
-
 class Event:
-    """Handle to a scheduled event, allowing cancellation."""
+    """A scheduled callback, and the handle that cancels it.
 
-    __slots__ = ("_event", "_sim")
+    The queue holds plain ``(cycle, seq, event)`` tuples, so ordering
+    compares integers only; ``seq`` (the insertion order) breaks same-cycle
+    ties and is unique, so the event itself is never compared.
+    """
 
-    def __init__(self, event: _Event, sim: "Simulator"):
-        self._event = event
+    __slots__ = ("cycle", "callback", "cancelled", "popped", "_sim")
+
+    def __init__(self, cycle: int, callback: Callable[[], None],
+                 sim: "Simulator"):
+        self.cycle = cycle
+        self.callback = callback
+        self.cancelled = False
+        #: Taken off the queue (run, skipped, or tripped ``max_cycles``).
+        self.popped = False
         self._sim = sim
-
-    @property
-    def cycle(self) -> int:
-        return self._event.cycle
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
 
     def cancel(self) -> None:
         """Prevent the event's callback from running.
@@ -56,9 +48,9 @@ class Event:
         skipped): there is nothing left to cancel, and counting it would
         corrupt the live-event accounting.
         """
-        if not self._event.cancelled and not self._event.popped:
-            self._event.cancelled = True
-            self._sim._note_cancelled()
+        if not self.cancelled and not self.popped:
+            self.cancelled = True
+            self._sim._cancelled += 1
 
 
 class Simulator:
@@ -73,13 +65,12 @@ class Simulator:
     """
 
     def __init__(self, max_cycles: Optional[int] = None):
-        self._queue: list[_Event] = []
+        self._queue: list[tuple[int, int, Event]] = []
         self._seq = 0
         self._now = 0
         self._max_cycles = max_cycles
         self._cancelled = 0
         self.stats = StatsRegistry()
-        self._running = False
 
     # ------------------------------------------------------------------ time
     @property
@@ -95,13 +86,12 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        event = _Event(self._now + int(delay), self._seq, callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
-        return Event(event, self)
-
-    def _note_cancelled(self) -> None:
-        self._cancelled += 1
+        cycle = self._now + int(delay)
+        event = Event(cycle, callback, self)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (cycle, seq, event))
+        return event
 
     def schedule_at(self, cycle: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at an absolute cycle (must not be in the past)."""
@@ -110,6 +100,11 @@ class Simulator:
         return self.schedule(cycle - self._now, callback)
 
     # ------------------------------------------------------------------- run
+    def _exceeded(self, cycle: int) -> SimulationError:
+        return SimulationError(
+            f"simulation exceeded max_cycles={self._max_cycles} "
+            f"(next event at {cycle})")
+
     def run(self, until: Optional[int] = None) -> int:
         """Run until the event queue drains (or until the given cycle).
 
@@ -118,27 +113,22 @@ class Simulator:
         if until is not None and until < self._now:
             raise ValueError(
                 f"cannot run backwards: until={until} < now={self._now}")
-        self._running = True
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if until is not None and event.cycle > until:
-                    self._now = until
-                    return self._now
-                heapq.heappop(self._queue)
-                event.popped = True
-                if event.cancelled:
-                    self._cancelled -= 1
-                    continue
-                if self._max_cycles is not None and event.cycle > self._max_cycles:
-                    raise SimulationError(
-                        f"simulation exceeded max_cycles={self._max_cycles} "
-                        f"(next event at {event.cycle})"
-                    )
-                self._now = event.cycle
-                event.callback()
-        finally:
-            self._running = False
+        queue = self._queue
+        heappop = heapq.heappop
+        max_cycles = self._max_cycles
+        while queue:
+            if until is not None and queue[0][0] > until:
+                self._now = until
+                return until
+            cycle, _, event = heappop(queue)
+            event.popped = True
+            if event.cancelled:
+                self._cancelled -= 1
+                continue
+            if max_cycles is not None and cycle > max_cycles:
+                raise self._exceeded(cycle)
+            self._now = cycle
+            event.callback()
         return self._now
 
     def step(self) -> bool:
@@ -148,18 +138,16 @@ class Simulator:
         the safety limit raises :class:`SimulationError` instead of silently
         executing the event.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            cycle, _, event = heapq.heappop(queue)
             event.popped = True
             if event.cancelled:
                 self._cancelled -= 1
                 continue
-            if self._max_cycles is not None and event.cycle > self._max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded max_cycles={self._max_cycles} "
-                    f"(next event at {event.cycle})"
-                )
-            self._now = event.cycle
+            if self._max_cycles is not None and cycle > self._max_cycles:
+                raise self._exceeded(cycle)
+            self._now = cycle
             event.callback()
             return True
         return False

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ..sim.component import Component
@@ -122,9 +123,11 @@ class MMU(Component):
     def translate(self, vaddr: int, access: AccessType,
                   callback: TranslateCallback, thread: str = "?") -> None:
         """Translate ``vaddr``; invoke ``callback`` when done."""
-        vpn, offset = divmod(vaddr, self.page_size)
+        page_table = self.page_table
+        page_size = page_table.config.page_size
+        vpn, offset = divmod(vaddr, page_size)
         self.count("translations")
-        entry = self.tlb.lookup(vpn, asid=self.page_table.asid)
+        entry = self.tlb.lookup(vpn, asid=page_table.asid)
         if entry is not None and (not access.is_write or entry.writable):
             self.count("tlb_hits")
             if entry.prefetched:
@@ -138,11 +141,11 @@ class MMU(Component):
                     self._prefetch_score + self.PREFETCH_HIT_BONUS)
                 self._maybe_prefetch(vpn, entry.prefetch_stride)
             translation = Translation(vaddr=vaddr,
-                                      paddr=entry.frame * self.page_size + offset,
-                                      page_size=self.page_size,
+                                      paddr=entry.frame * page_size + offset,
+                                      page_size=page_size,
                                       writable=entry.writable)
             self.schedule(self.tlb.config.hit_latency,
-                          lambda: callback(translation))
+                          partial(callback, translation))
             return
 
         self.count("tlb_misses")
@@ -152,7 +155,7 @@ class MMU(Component):
             # the f-string is only built when the record is stored.
             tracer.log(self.now, self.name, "tlb_miss",
                        f"vaddr={vaddr:#x} vpn={vpn} "
-                       f"asid={self.page_table.asid} thread={thread}")
+                       f"asid={page_table.asid} thread={thread}")
         started = self.now
         self._walk(vaddr, vpn, offset, access, callback, thread, started,
                    retries_left=self.config.max_fault_retries)

@@ -94,7 +94,7 @@ class TLB:
 
     # ------------------------------------------------------------ addressing
     def _set_index(self, vpn: int) -> int:
-        return vpn % self.config.num_sets
+        return vpn % len(self._sets)
 
     # ---------------------------------------------------------------- lookup
     def lookup(self, vpn: int, asid: int = 0) -> Optional[TLBEntry]:

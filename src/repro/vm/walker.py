@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Deque, Optional
 
 from ..mem.port import MemoryRequest, MemoryTarget
@@ -91,7 +92,8 @@ class PageTableWalker(Component):
 
         def next_level(_req: Optional[MemoryRequest] = None) -> None:
             self.schedule(self.config.per_level_overhead,
-                          lambda: self._do_level(request, addresses, level + 1, started_at))
+                          partial(self._do_level, request, addresses,
+                                  level + 1, started_at))
 
         self.count("levels_fetched")
         if self.port is not None:

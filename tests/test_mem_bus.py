@@ -1,6 +1,7 @@
 """Unit tests for the shared system bus."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.arbiter import FixedPriorityArbiter
 from repro.mem.bus import BusConfig, SystemBus
@@ -150,3 +151,89 @@ def test_invalid_bus_config_rejected():
         BusConfig(max_outstanding_per_master=0)
     with pytest.raises(ValueError):
         BusConfig(address_phase_cycles=-1)
+
+
+class HeldTarget:
+    """A memory target that holds every request until told to complete it."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.held = []
+
+    def access(self, request):
+        self.held.append(request)
+
+    def complete(self, index):
+        self.held.pop(index).complete(self.sim.now)
+
+
+def _assert_bookkeeping(bus):
+    limit = bus.config.max_outstanding_per_master
+    assert bus._queued == sum(len(q) for q in bus._queues)
+    assert all(0 <= n <= limit for n in bus._inflight)
+
+
+def test_slot_freed_after_bus_idle_unblocks_queued_master():
+    sim = Simulator()
+    target = HeldTarget(sim)
+    bus = SystemBus(sim, target, BusConfig(max_outstanding_per_master=1))
+    port = bus.attach_master("m0")
+    done = []
+    for addr in (0x0, 0x40):
+        port.access(MemoryRequest(addr=addr, size=8,
+                                  callback=lambda r: done.append(r.addr)))
+    sim.run()
+    # The first request is in flight, the second waits for its slot, and
+    # the bus itself has gone idle: nothing else will call the arbiter.
+    assert [r.addr for r in target.held] == [0x0]
+    assert bus._queued == 1 and not bus._busy
+    target.complete(0)
+    sim.run()
+    assert done == [0x0]
+    assert [r.addr for r in target.held] == [0x40]
+    target.complete(0)
+    assert done == [0x0, 0x40]
+    _assert_bookkeeping(bus)
+    assert bus._queued == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(limit=st.integers(1, 2), masters=st.integers(1, 3),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("submit"), st.integers(0, 2),
+                     st.integers(1, 64)),
+           st.tuples(st.just("complete"), st.integers(0, 50)),
+           st.tuples(st.just("advance"), st.integers(0, 12))),
+           max_size=60))
+def test_queued_count_tracks_queues_under_random_traffic(limit, masters,
+                                                         ops):
+    sim = Simulator()
+    target = HeldTarget(sim)
+    bus = SystemBus(sim, target,
+                    BusConfig(max_outstanding_per_master=limit))
+    ports = [bus.attach_master(f"m{i}") for i in range(masters)]
+    submitted, completed = 0, []
+    for op in ops:
+        if op[0] == "submit":
+            ports[op[1] % masters].access(MemoryRequest(
+                addr=64 * submitted, size=op[2],
+                callback=lambda r: completed.append(r)))
+            submitted += 1
+        elif op[0] == "complete":
+            if target.held:
+                target.complete(op[1] % len(target.held))
+        else:
+            sim.run(until=sim.now + op[1])
+        _assert_bookkeeping(bus)
+    # Drain: complete everything the bus forwards until nothing is left.
+    while True:
+        sim.run()
+        _assert_bookkeeping(bus)
+        # Quiescent: no master may wait while it has a free slot.
+        assert not any(q and bus._inflight[i] < limit
+                       for i, q in enumerate(bus._queues))
+        if not target.held:
+            break
+        target.complete(0)
+    assert len(completed) == submitted
+    assert bus._queued == 0 and not bus._busy

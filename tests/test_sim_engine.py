@@ -1,6 +1,7 @@
 """Unit tests for the event-driven simulation engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import SimulationError, Simulator
 
@@ -189,3 +190,139 @@ def test_cancel_after_execution_does_not_corrupt_pending_count():
     assert sim.pending_events == 0
     sim.schedule(2, lambda: None)
     assert sim.pending_events == 1     # live event not masked
+
+
+# ---------------------------------------------------------------------------
+# Property: the engine matches a reference model ordered by
+# (cycle, insertion order) under random schedule/cancel/step/run interleavings.
+# ---------------------------------------------------------------------------
+class _ReferenceQueue:
+    """Sorted-list model of the event queue, independent of the heap.
+
+    Entries are ``[cycle, seq, ident, child_delay, cancelled]``; cancelled
+    entries stay queued until they reach the front, exactly as the engine
+    keeps them (they still bound ``run(until=)``'s stopping cycle).
+    """
+
+    def __init__(self, max_cycles):
+        self.max_cycles = max_cycles
+        self.now = 0
+        self.entries = []          # kept sorted by (cycle, seq)
+        self.seq = 0
+        self.log = []
+
+    def schedule(self, cycle, ident, child_delay):
+        entry = [cycle, self.seq, ident, child_delay, False]
+        self.seq += 1
+        self.entries.append(entry)
+        self.entries.sort(key=lambda e: (e[0], e[1]))
+        return entry
+
+    def cancel(self, entry):
+        if entry in self.entries and not entry[4]:
+            entry[4] = True
+
+    def _pop_live(self, until=None):
+        """Pop up to the next live event; None if stopped or drained."""
+        while self.entries:
+            head = self.entries[0]
+            if until is not None and head[0] > until:
+                self.now = until
+                return None
+            self.entries.pop(0)
+            if head[4]:
+                continue
+            if self.max_cycles is not None and head[0] > self.max_cycles:
+                raise SimulationError("max_cycles")
+            return head
+        return None
+
+    def _execute(self, entry):
+        cycle, _, ident, child_delay, _ = entry
+        self.now = cycle
+        self.log.append((ident, cycle))
+        if child_delay is not None:
+            self.schedule(cycle + child_delay, ident + 1000, None)
+
+    def step(self):
+        entry = self._pop_live()
+        if entry is None:
+            return False
+        self._execute(entry)
+        return True
+
+    def run(self, until=None):
+        while True:
+            entry = self._pop_live(until)
+            if entry is None:
+                return self.now
+            self._execute(entry)
+
+    @property
+    def pending(self):
+        return sum(1 for e in self.entries if not e[4])
+
+
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("schedule"), st.integers(0, 30),
+              st.one_of(st.none(), st.integers(0, 20))),
+    st.tuples(st.just("schedule_at"), st.integers(0, 30),
+              st.one_of(st.none(), st.integers(0, 20))),
+    st.tuples(st.just("cancel"), st.integers(0, 1000)),
+    st.tuples(st.just("step"),),
+    st.tuples(st.just("run_until"), st.integers(0, 40)),
+), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_OPS, max_cycles=st.one_of(st.none(), st.integers(0, 120)))
+def test_engine_matches_reference_queue(ops, max_cycles):
+    sim = Simulator(max_cycles=max_cycles)
+    model = _ReferenceQueue(max_cycles)
+    log = []
+    handles = []               # (engine handle, model entry), in order
+
+    def callback(ident, child_delay):
+        def run():
+            log.append((ident, sim.now))
+            if child_delay is not None:
+                sim.schedule(child_delay, callback(ident + 1000, None))
+        return run
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except SimulationError:
+            return "max_cycles"
+
+    for ident, op in enumerate(ops):
+        kind = op[0]
+        if kind in ("schedule", "schedule_at"):
+            offset, child = op[1], op[2]
+            if kind == "schedule":
+                handle = sim.schedule(offset, callback(ident, child))
+            else:
+                handle = sim.schedule_at(sim.now + offset,
+                                         callback(ident, child))
+            assert handle.cycle == model.now + offset
+            handles.append((handle, model.schedule(model.now + offset,
+                                                   ident, child)))
+        elif kind == "cancel":
+            if handles:
+                handle, entry = handles[op[1] % len(handles)]
+                handle.cancel()
+                model.cancel(entry)
+                assert handle.cancelled == entry[4]
+        elif kind == "step":
+            assert outcome(sim.step) == outcome(model.step)
+        else:
+            until = model.now + op[1]
+            assert outcome(sim.run, until) == outcome(model.run, until)
+        assert log == model.log
+        assert sim.now == model.now
+        assert sim.pending_events == model.pending
+
+    assert outcome(sim.run) == outcome(model.run)
+    assert log == model.log
+    assert sim.now == model.now
+    assert sim.pending_events == model.pending
