@@ -180,7 +180,8 @@ class _BrokerAPI:
             # never loaded into server objects.
             return fetch_rows(sweep_id, positions=positions, values=values)
         rows = []
-        for res in self.broker.fetch_results(sweep_id, positions=positions):
+        for res in self.broker.fetch_results(sweep_id, positions=positions,
+                                             values=values):
             payload = None
             if values and res.state == "done":
                 payload = pickle.dumps(res.value,

@@ -21,7 +21,11 @@ Per ``map`` call the runner:
    calling process claims jobs itself between polls — so progress is
    guaranteed even with no fleet at all,
 4. streams results back incrementally as workers report them
-   (:meth:`map_stream` exposes the stream; :meth:`map` collects it), and
+   (:meth:`map_stream` exposes the stream; :meth:`map` collects it).  A
+   point the drain loop itself recorded is handed over directly, never
+   read back from the broker; while it keeps finding work, the broker is
+   polled for everyone else's results at most once per ``poll_interval``,
+   and
 5. propagates the first job failure eagerly: the sweep is cancelled at the
    broker, spawned workers are stopped, and a
    :class:`DistributedJobError` is raised — mirroring the pool runner's
@@ -34,6 +38,7 @@ backoff for transient failures); the runner merely accounts for them in
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import time
@@ -43,6 +48,7 @@ from ..exec.cache import MemoCache
 from ..exec.keys import stable_key
 from ..exec.runner import SweepRunner
 from .broker import Broker, WorkItem, connect_broker
+from .service import fetch_in_chunks
 from .worker import Worker, worker_main
 
 
@@ -75,7 +81,7 @@ class DistributedRunner(SweepRunner):
         the fleet's memo tier.
     drain:
         When True (default), the calling process claims and runs jobs
-        itself whenever a poll finds nothing new — guaranteeing progress
+        itself whenever it has no news to deliver — guaranteeing progress
         with zero workers and soaking up stragglers.
     timeout:
         Overall per-``map`` ceiling in seconds (None = wait forever).
@@ -212,6 +218,13 @@ class DistributedRunner(SweepRunner):
                                      for key in ticket.done_keys)
         self.stats.points_executed += len(executed_keys)
 
+        def deliver(key: str, value: Any) -> Iterator[Tuple[int, Any]]:
+            # One finished key's value, at every position that carries it.
+            if key in executed_keys:
+                self.stats.count_tiers([value])
+            for position in pending[key]:
+                yield resolve(position, value)
+
         self._spawn_workers(label)
         drainer = (Worker(self.broker, memo=self.cache,
                           worker_id=f"{label}-drain",
@@ -219,34 +232,54 @@ class DistributedRunner(SweepRunner):
                    if self.drain else None)
         deadline = (time.monotonic() + self.timeout
                     if self.timeout is not None else None)
+        # Broker job position of each key (one job per unique key).
+        job_of = {item.key: position for position, item in enumerate(work)}
         seen: set = set()
+        poll_at = -math.inf
         try:
             while len(seen) < len(work):
-                finished = self.broker.finished_positions(ticket.sweep_id)
-                new = sorted(set(finished) - seen)
-                if not new:
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise TimeoutError(
-                            f"distributed sweep {ticket.sweep_id} timed out "
-                            f"after {self.timeout}s "
-                            f"({len(seen)}/{len(work)} jobs finished)")
-                    if drainer is None or not drainer.run_one():
-                        time.sleep(self.poll_interval)
+                new: List[int] = []
+                if time.monotonic() >= poll_at:
+                    # While the drain loop keeps finding work, polls for
+                    # points resolved elsewhere (external workers, enqueue-
+                    # time hits) run at most once per poll_interval.
+                    poll_at = time.monotonic() + self.poll_interval
+                    finished = self.broker.finished_positions(ticket.sweep_id)
+                    new = sorted(set(finished) - seen)
+                if new:
+                    for job in fetch_in_chunks(self.broker, ticket.sweep_id,
+                                               new):
+                        seen.add(job.position)
+                        if job.state != "done":
+                            self.stats.failed_jobs += 1
+                            self._abort(ticket.sweep_id)
+                            raise DistributedJobError(job.position, job.key,
+                                                      job.error)
+                        if self.cache is not None:
+                            self.cache.put(job.key, job.value)
+                        yield from deliver(job.key, job.value)
                     continue
-                for job in self.broker.fetch_results(ticket.sweep_id,
-                                                     positions=new):
-                    seen.add(job.position)
-                    if job.state != "done":
-                        self.stats.failed_jobs += 1
-                        self._abort(ticket.sweep_id)
-                        raise DistributedJobError(job.position, job.key,
-                                                  job.error)
-                    if job.key in executed_keys:
-                        self.stats.count_tiers([job.value])
-                    if self.cache is not None:
-                        self.cache.put(job.key, job.value)
-                    for position in pending[job.key]:
-                        yield resolve(position, job.value)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise TimeoutError(
+                        f"distributed sweep {ticket.sweep_id} timed out "
+                        f"after {self.timeout}s "
+                        f"({len(seen)}/{len(work)} jobs finished)")
+                executed = drainer.run_one() if drainer is not None else None
+                if executed is None:
+                    time.sleep(self.poll_interval)     # the next poll is due
+                    continue
+                position = job_of.get(executed.claim.key)
+                if position is None:
+                    continue            # a key this sweep does not carry
+                if not executed.recorded:
+                    # A failure, or another worker won the race: the
+                    # broker's row is the word on it — look at once.
+                    poll_at = -math.inf
+                    continue
+                # The drainer recorded this key's result (and put it in the
+                # memo): hand it over without asking the broker for it back.
+                seen.add(position)
+                yield from deliver(executed.claim.key, executed.value)
             self.stats.retries += self.broker.retries(ticket.sweep_id)
         finally:
             self._stop_workers()

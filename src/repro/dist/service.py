@@ -30,7 +30,7 @@ import dataclasses
 import json
 import pickle
 import time
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..eval.harness import HarnessConfig
 from ..eval.sweep import Grid, Sweep
@@ -39,7 +39,7 @@ from ..exec.cache import MemoCache
 from ..exec.keys import stable_key
 from ..models import registered_models
 from ..workloads import available_workload_kernels, workload
-from .broker import Broker, SweepTicket, WorkItem
+from .broker import Broker, JobResult, SweepTicket, WorkItem
 
 #: HarnessConfig fields a spec may sweep or pin: the scalar knobs.  The
 #: structured ``platform``/``software`` sub-configs are not addressable from
@@ -195,10 +195,19 @@ def _jsonable_outcome(value: Any) -> Any:
 
 
 #: Positions materialized per ``fetch_results`` call inside
-#: :func:`iter_results`.  Fetching a sweep's finished rows in bounded
+#: :func:`fetch_in_chunks`.  Fetching a sweep's finished rows in bounded
 #: chunks keeps at most this many unpickled values alive at once, however
-#: large the sweep — the streaming front-end never holds the whole sweep.
+#: large the sweep — the streaming front-end never holds the whole sweep —
+#: and binds a bounded number of SQL variables per query.
 FETCH_CHUNK = 256
+
+
+def fetch_in_chunks(broker: Broker, sweep_id: str,
+                    positions: List[int]) -> Iterator[JobResult]:
+    """The finished rows at ``positions``, :data:`FETCH_CHUNK` at a time."""
+    for start in range(0, len(positions), FETCH_CHUNK):
+        yield from broker.fetch_results(
+            sweep_id, positions=positions[start:start + FETCH_CHUNK])
 
 
 def iter_results(broker: Broker, sweep_id: str, *, follow: bool = False,
@@ -221,23 +230,21 @@ def iter_results(broker: Broker, sweep_id: str, *, follow: bool = False,
     while True:
         status = broker.status(sweep_id)      # KeyError for unknown sweeps
         fresh = sorted(set(broker.finished_positions(sweep_id)) - seen)
-        for start in range(0, len(fresh), FETCH_CHUNK):
-            chunk = fresh[start:start + FETCH_CHUNK]
-            for job in broker.fetch_results(sweep_id, positions=chunk):
-                seen.add(job.position)
-                record: Dict[str, Any] = {
-                    "position": job.position,
-                    "state": job.state,
-                    "coords": (job.meta or {}).get("coords"),
-                    "key": job.key,
-                }
-                if job.state == "done":
-                    record["outcome"] = _jsonable_outcome(job.value)
-                else:
-                    record["error"] = job.error
-                if job.worker is not None:
-                    record["worker"] = job.worker
-                yield record
+        for job in fetch_in_chunks(broker, sweep_id, fresh):
+            seen.add(job.position)
+            record: Dict[str, Any] = {
+                "position": job.position,
+                "state": job.state,
+                "coords": (job.meta or {}).get("coords"),
+                "key": job.key,
+            }
+            if job.state == "done":
+                record["outcome"] = _jsonable_outcome(job.value)
+            else:
+                record["error"] = job.error
+            if job.worker is not None:
+                record["worker"] = job.worker
+            yield record
         if not follow or (status["finished"] and len(seen) >= status["total"]):
             return
         if deadline is not None and time.monotonic() > deadline:

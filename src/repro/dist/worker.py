@@ -32,10 +32,24 @@ import socket
 import threading
 import time
 import traceback
-from typing import Callable, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from ..exec.cache import MemoCache
 from .broker import Broker, ClaimedJob, connect_broker
+
+
+class Executed(NamedTuple):
+    """What one claimed job came to, as reported by :meth:`Worker.run_one`.
+
+    ``recorded`` is True when this worker's ``complete`` stored the result,
+    and ``value`` is then that result.  A failed job, or a completion that
+    lost the idempotent race to another worker, reports False (and, for a
+    failure, ``value`` None): the broker's row is the word on it.
+    """
+
+    claim: ClaimedJob
+    value: Any
+    recorded: bool
 
 
 class Worker:
@@ -61,16 +75,15 @@ class Worker:
         self.failures = 0
 
     # ------------------------------------------------------------- one job
-    def run_one(self) -> bool:
-        """Claim and execute one job; False when the queue is idle."""
+    def run_one(self) -> Optional[Executed]:
+        """Claim and execute one job; None when the queue is idle."""
         claim = self.broker.claim(self.worker_id,
                                   lease_seconds=self.lease_seconds)
         if claim is None:
-            return False
-        self._execute(claim)
-        return True
+            return None
+        return self._execute(claim)
 
-    def _execute(self, claim: ClaimedJob) -> None:
+    def _execute(self, claim: ClaimedJob) -> Executed:
         stop = threading.Event()
         beat = threading.Thread(target=self._heartbeat_loop,
                                 args=(claim, stop), daemon=True)
@@ -83,13 +96,13 @@ class Worker:
                 # registration, version skew): let another worker try.
                 self.failures += 1
                 self.broker.fail(claim, error=_describe(exc), transient=True)
-                return
+                return Executed(claim, None, False)
             try:
                 value = fn(item)
             except Exception as exc:
                 self.failures += 1
                 self.broker.fail(claim, error=_describe(exc), transient=False)
-                return
+                return Executed(claim, None, False)
         finally:
             stop.set()
             beat.join()
@@ -98,8 +111,10 @@ class Worker:
                 self.memo.put(claim.key, value)
             except Exception:
                 pass            # the memo tier is best-effort, results aren't
-        self.broker.complete(claim.key, value, worker=self.worker_id)
+        recorded = self.broker.complete(claim.key, value,
+                                        worker=self.worker_id)
         self.jobs_run += 1
+        return Executed(claim, value, bool(recorded))
 
     def _heartbeat_loop(self, claim: ClaimedJob,
                         stop: threading.Event) -> None:
@@ -126,7 +141,7 @@ class Worker:
         executed = 0
         idle_since: Optional[float] = None
         while max_jobs is None or executed < max_jobs:
-            if self.run_one():
+            if self.run_one() is not None:
                 executed += 1
                 idle_since = None
                 continue

@@ -183,6 +183,40 @@ def test_large_payloads_travel_through_the_blob_store(server, backend):
     assert result.value == 81
 
 
+class _RowlessBroker:
+    """A third-party broker: no byte-level ``fetch_result_rows`` hook."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.fetch_values = []
+
+    def __getattr__(self, name):
+        if name == "fetch_result_rows":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def fetch_results(self, sweep_id, positions=None, *, values=True):
+        self.fetch_values.append(values)
+        return self.inner.fetch_results(sweep_id, positions, values=values)
+
+
+def test_server_fallback_forwards_the_values_flag(backend):
+    rowless = _RowlessBroker(backend)
+    server = BrokerServer(rowless).start()
+    try:
+        client = HTTPBroker(server.url, retries=2, backoff_seconds=0.01)
+        ticket = client.create_sweep([_item("k0", arg=3)])
+        assert Worker(client, worker_id="w1").run_until_idle() == 1
+        (status_only,) = client.fetch_results(ticket.sweep_id, values=False)
+        (full,) = client.fetch_results(ticket.sweep_id)
+    finally:
+        server.close()
+    # A status-only request never unpickles a value server-side.
+    assert rowless.fetch_values == [False, True]
+    assert (status_only.state, status_only.value) == ("done", None)
+    assert full.value == 9
+
+
 # ---------------------------------------------------------------------------
 # Client retry / failure surface
 # ---------------------------------------------------------------------------
