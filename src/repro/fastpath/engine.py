@@ -17,6 +17,16 @@ caller, pre-warmed by any host-side pinning touches), manipulated inline with
 the exact semantics of ``lookup``/``insert``/``flush``; page-table walks read
 the real :class:`~repro.vm.pagetable.PageTable` nodes.
 
+Pending events wait in a ``heapq`` behind a one-slot "next event" register:
+the hot scheduling sites park their event in the slot, and the loop head
+pops the smaller of the slot and the heap top with ``heappushpop``, so an
+event that is already the earliest one skips the heap without changing the
+pop order.  Per event, only counters that carry information are updated;
+the redundant ``ReplayOutput`` fields (translations, refills, the bus and
+DRAM request splits, walk totals, DRAM latency, the event count) are exact
+functions of the kept ones once the run has drained, and are derived at
+write-back — :func:`replay_fabric` lists the identities.
+
 The engine refuses to service a translation fault (`ReplayFault`): the replay
 tier's eligibility rules only admit runs whose pages are all present, and a
 surprise fault means the caller must fall back to the event tier.
@@ -201,13 +211,47 @@ def _make_acc(count: int, total: int, minimum: int, maximum: int) -> _Acc:
 def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     """Execute a replay program; returns exact counters and completion cycles.
 
-    The heavy lifting is one ``while heap`` loop over integer-coded events.
+    The heavy lifting is one dispatch loop over integer-coded events, fed
+    by a ``heapq`` plus a one-slot "next event" register ``nxt`` in front of
+    it.  The slot is empty whenever a handler starts; the hot scheduling
+    sites (bus grants, forward -> DRAM done, DRAM done -> walk step,
+    translated -> bus issue, compute advance) store their event there when
+    it is free and push onto the heap otherwise.  The loop head takes
+    ``heappushpop(heap, nxt)`` — the smaller ``(cycle, seq)`` of the slot and
+    the heap top — so the pop order is exactly that of a plain heap, and an
+    event that is already the earliest one never touches the heap at all.
+
     Mutable scalars live in enclosing-scope cells; the hot TLB probe/refill
     path is inlined against the real TLB's set structures with semantics
     identical to ``TLB.lookup``/``TLB.insert``.  Hot counters accumulate in
     plain locals and are written back to ``out`` once at the end; the
     per-chunk hit path (probe → translated → bus → DRAM → completion) runs
     entirely inside the dispatch branches without a single helper call.
+
+    Only counters that carry information are kept during the run.  The
+    engine returns only after the heap has drained and the thread has
+    retired every op (every other exit raises), so these ``ReplayOutput``
+    fields are exact functions of the kept ones and are computed once at
+    write-back:
+
+    * ``tlb_hits`` / ``tlb_misses`` (MMU) — TLB lookup hits / misses, with
+      write-protection hits moved from hits to misses; ``translations`` is
+      their sum.
+    * ``tlb_refills`` — the ``miss_latency`` sample count.
+    * ``walks_requested`` / ``walks_completed`` / ``walk_cycles`` and the
+      ``queue_wait`` count — the ``walk_latency`` count / count / total /
+      count.
+    * ``levels_fetched`` / ``bus_requests_walker`` — the walker-port
+      ``bus_latency_walker`` count; ``transactions`` /
+      ``bus_requests_memif`` — the memif-port ``bus_latency_memif`` count;
+      ``bus_requests`` and the ``bus_queue_wait`` count — their sum.
+    * ``memif_ops`` / ``memif_bytes`` — ``mem_ops`` / ``mem_bytes``.
+    * ``dram_row_misses`` / ``dram_reads`` — bus requests minus
+      ``dram_row_hits`` / ``dram_writes``.
+    * ``dram_latency`` — the merge of the two bus-latency accumulators (the
+      DRAM resets each request's issue cycle, so both sample the same DRAM
+      service latency).
+    * ``events`` — the number of events scheduled.
     """
     out = ReplayOutput(finish=-1, last_cycle=0, events=0)
 
@@ -220,6 +264,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     heap: List[tuple] = []
     push = heapq.heappush
     pop = heapq.heappop
+    pushpop = heapq.heappushpop
     seq = 0
     now = 0
     limit = ctx.max_cycles if ctx.max_cycles is not None else _HUGE
@@ -231,7 +276,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     waiting_slot = False
     waiting_fence = False
     stalled_chunks: Optional[list] = None
-    stalled_bytes = 0
     stall_started = 0
     exhausted = False
     finish = -1
@@ -243,13 +287,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     spaces = ctx.spaces
     space = spaces[ctx.initial_space]
     cur_asid = space.asid
-    cur_table = space.page_table
     cur_page_size = space.page_size
     cur_shift = cur_page_size.bit_length() - 1
     cur_mask = cur_page_size - 1
     cur_vpn_limit = space.vpn_limit
-    cur_pte_bytes = space.pte_bytes
-    cur_levels = space.expected_levels
 
     # ----- TLB state, inlined against the real object -------------------
     tlb = ctx.tlb
@@ -264,6 +305,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     tlb_hits = tlb.hits
     tlb_misses = tlb.misses
     tlb_evictions = tlb.evictions
+    hits_before = tlb_hits
+    misses_before = tlb_misses
     from ..vm.tlb import TLBEntry
 
     # ----- prefetcher state (mirrors MMU) -------------------------------
@@ -309,46 +352,34 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     data_bus_free = 0
 
     # ----- localized hot counters (written back to ``out`` at the end) --
-    c_translations = 0
-    c_mmu_hits = 0
-    c_mmu_misses = 0
-    c_refills = 0
-    c_transactions = 0
+    c_write_upgrades = 0              # TLB hits without write permission
     c_mem_ops = 0
     c_mem_bytes = 0
-    c_memif_ops = 0
-    c_memif_bytes = 0
     c_compute = 0
-    c_bus_requests = 0
-    c_breq_w = 0
-    c_breq_m = 0
     c_busy = 0
     c_contended = 0
     c_row_hits = 0
-    c_row_misses = 0
-    c_reads = 0
     c_writes = 0
     c_bytes_r = 0
     c_bytes_w = 0
-    c_walks_req = 0
-    c_levels = 0
-    c_walks_done = 0
     c_walks_faulted = 0
-    c_walk_cycles = 0
-    # Accumulator quads: (count, total, min, max).
-    qw_cnt = qw_tot = 0; qw_min = _HUGE; qw_max = -1     # bus queue wait
-    blw_cnt = blw_tot = 0; blw_min = _HUGE; blw_max = -1  # bus latency (walker)
-    blm_cnt = blm_tot = 0; blm_min = _HUGE; blm_max = -1  # bus latency (memif)
-    dl_cnt = dl_tot = 0; dl_min = _HUGE; dl_max = -1      # dram latency
-    st_cnt = st_tot = 0; st_min = _HUGE; st_max = -1      # thread stall
-    wq_cnt = wq_tot = 0; wq_min = _HUGE; wq_max = -1      # walker queue wait
-    wl_cnt = wl_tot = 0; wl_min = _HUGE; wl_max = -1      # walk latency
-    ml_cnt = ml_tot = 0; ml_min = _HUGE; ml_max = -1      # mmu miss latency
+    # Accumulator quads (count, total, min, max); the write-back derives the
+    # counts left out here (see the docstring).
+    qw_tot, qw_min, qw_max = 0, _HUGE, -1                   # bus queue wait
+    blw_cnt, blw_tot, blw_min, blw_max = 0, 0, _HUGE, -1    # bus latency (walker)
+    blm_cnt, blm_tot, blm_min, blm_max = 0, 0, _HUGE, -1    # bus latency (memif)
+    st_cnt, st_tot, st_min, st_max = 0, 0, _HUGE, -1        # thread stall
+    wq_tot, wq_min, wq_max = 0, _HUGE, -1                   # walker queue wait
+    wl_cnt, wl_tot, wl_min, wl_max = 0, 0, _HUGE, -1        # walk latency
+    ml_cnt, ml_tot, ml_min, ml_max = 0, 0, _HUGE, -1        # mmu miss latency
+
+    # One-slot "next event" register in front of ``heap`` (see docstring).
+    nxt: Optional[tuple] = None
 
     # ------------------------------------------------------------- helpers
     def bus_grant() -> None:
-        nonlocal bus_busy, bus_last, inflight_w, inflight_m, seq
-        nonlocal c_busy, c_contended, qw_cnt, qw_tot, qw_min, qw_max
+        nonlocal bus_busy, bus_last, inflight_w, inflight_m, seq, nxt
+        nonlocal c_busy, c_contended, qw_tot, qw_min, qw_max
         cand_w = bool(bus_queue_w) and inflight_w < bus_max_inflight
         cand_m = bool(bus_queue_m) and inflight_m < bus_max_inflight
         if not (cand_w or cand_m):
@@ -374,7 +405,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             payload, issued = bus_queue_m.popleft()
             inflight_m += 1
         wait = now - issued
-        qw_cnt += 1
         qw_tot += wait
         if wait < qw_min:
             qw_min = wait
@@ -387,27 +417,28 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             beats = 1
         occupancy = addr_phase + beats
         c_busy += occupancy
-        push(heap, (now + occupancy, seq, 3, (chosen, payload)))  # BUS_FORWARD
+        ev = (now + occupancy, seq, 3, (chosen, payload))   # BUS_FORWARD
+        if nxt is None:
+            nxt = ev
+        else:
+            push(heap, ev)
         seq += 1
 
     # Walk request tuples: demand -> (0, vpn, space, issue_payload, started,
     # issued_at); prefetch -> (1, vpn, space, (key, stride), 0, issued_at).
     def walker_walk(request: tuple) -> None:
-        nonlocal c_walks_req
-        c_walks_req += 1
         walk_queue.append(request)
         if not walker_busy:
             walker_start_next()
 
     def walker_start_next() -> None:
-        nonlocal walker_busy, wq_cnt, wq_tot, wq_min, wq_max
+        nonlocal walker_busy, wq_tot, wq_min, wq_max
         if not walk_queue:
             walker_busy = False
             return
         walker_busy = True
         request = walk_queue.popleft()
         wait = now - request[5]
-        wq_cnt += 1
         wq_tot += wait
         if wait < wq_min:
             wq_min = wait
@@ -422,14 +453,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     def walk_do(request: tuple, addresses: list, level: int,
                 started_at: int) -> None:
-        nonlocal c_levels, c_bus_requests, c_breq_w
         if level >= len(addresses):
             walk_finish(request, addresses, started_at)
             return
-        c_levels += 1
         # Walker-port bus submit, inlined.
-        c_bus_requests += 1
-        c_breq_w += 1
         bus_queue_w.append(((_REQ_WALK, addresses[level],
                              request[2].pte_bytes, False, request, addresses,
                              level, started_at), now))
@@ -437,8 +464,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             bus_grant()
 
     def walk_finish(request: tuple, addresses: list, started_at: int) -> None:
-        nonlocal tick, tlb_evictions, seq, c_walks_done, c_walks_faulted
-        nonlocal c_walk_cycles, c_refills, c_transactions
+        nonlocal tick, tlb_evictions, seq, c_walks_faulted
         nonlocal wl_cnt, wl_tot, wl_min, wl_max, ml_cnt, ml_tot, ml_min, ml_max
         req_space = request[2]
         vpn = request[1]
@@ -451,8 +477,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         else:
             entry = None
         wc = now - started_at
-        c_walks_done += 1
-        c_walk_cycles += wc
         wl_cnt += 1
         wl_tot += wc
         if wc < wl_min:
@@ -496,7 +520,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                                         writable=entry.writable,
                                         asid=cur_asid, inserted_at=tick,
                                         last_used=tick)
-            c_refills += 1
             entry.accessed = True
             issue_payload = request[3]    # (offset, size, is_write, chunks, i)
             if issue_payload[2]:
@@ -509,7 +532,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             if miss > ml_max:
                 ml_max = miss
             paddr = entry.frame * req_space.page_size + issue_payload[0]
-            c_transactions += 1
             push(heap, (now + issue_latency, seq, 2,      # BUS_ISSUE
                         (_REQ_DATA, paddr, issue_payload[1], issue_payload[2],
                          issue_payload[3], issue_payload[4])))
@@ -554,7 +576,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         nonlocal prefetch_score
         if prefetch_depth <= 0 or prefetch_score < 8:   # SCORE_GATE
             return
-        table = cur_table
         asid = cur_asid
         limit = cur_vpn_limit
         space_now = space
@@ -580,9 +601,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         semantically identical.
         """
         nonlocal tick, tlb_hits, tlb_misses, prefetch_score, seq
-        nonlocal c_translations, c_mmu_hits, c_mmu_misses
+        nonlocal c_write_upgrades
         vpn = vaddr >> cur_shift
-        c_translations += 1
         # TLB.lookup, inlined.
         tick += 1
         tlb_set = tlb_sets[vpn % num_sets]
@@ -593,10 +613,13 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             entry.last_used = tick
             if is_lru:
                 tlb_set.move_to_end(key)
+            if is_write and not entry.writable:
+                # A TLB hit the MMU treats as a miss (write upgrade).
+                c_write_upgrades += 1
+                entry = None
         else:
             tlb_misses += 1
-        if entry is not None and (not is_write or entry.writable):
-            c_mmu_hits += 1
+        if entry is not None:
             if entry.prefetched:
                 entry.prefetched = False
                 out.prefetch_hits += 1
@@ -608,7 +631,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                          size, is_write, chunks, index)))
             seq += 1
             return
-        c_mmu_misses += 1
         walker_walk((_REQ_DATA, vpn, space,
                      (vaddr & cur_mask, size, is_write, chunks, index),
                      now, now))
@@ -623,43 +645,36 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         maybe_prefetch(vpn, stride)
 
     # ------------------------------------------------------------ main loop
-    push(heap, (ctx.start_latency, seq, 0, None))             # ADVANCE
+    nxt = (ctx.start_latency, seq, 0, None)                   # ADVANCE
     seq += 1
 
-    events = 0
-    while heap:
-        now_, _, code, payload = pop(heap)
+    while True:
+        if nxt is not None:
+            # The slot holds an event: pop the smaller of it and the heap top.
+            now_, _, code, payload = pushpop(heap, nxt) if heap else nxt
+            nxt = None
+        elif heap:
+            now_, _, code, payload = pop(heap)
+        else:
+            break
         if now_ > limit:
             raise SimulationError(
                 f"simulation exceeded max_cycles={ctx.max_cycles} "
                 f"(next event at {now_})")
         now = now_
-        events += 1
 
         if code == 1:                   # _EV_TRANSLATED
             # Hit latency elapsed -> memif.issue(): one transaction.  The
-            # payload is already in BUS_ISSUE form.
-            c_transactions += 1
-            push(heap, (now + issue_latency, seq, 2, payload))
+            # payload is already in BUS_ISSUE form; the slot is empty at
+            # the start of every handler.
+            nxt = (now + issue_latency, seq, 2, payload)
             seq += 1
         elif code == 4:                 # _EV_DRAM_DONE
-            master, request, service = payload
+            master, request = payload
             if master == walker_master:
                 inflight_w -= 1
-                blw_cnt += 1
-                blw_tot += service
-                if service < blw_min:
-                    blw_min = service
-                if service > blw_max:
-                    blw_max = service
             else:
                 inflight_m -= 1
-                blm_cnt += 1
-                blm_tot += service
-                if service < blm_min:
-                    blm_min = service
-                if service > blm_max:
-                    blm_max = service
             if request[0] == _REQ_DATA:
                 chunks = request[4]
                 index = request[5] + 1
@@ -677,8 +692,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         entry.last_used = tick
                         if is_lru:
                             tlb_set.move_to_end(key)
-                        c_translations += 1
-                        c_mmu_hits += 1
                         push(heap, (now + hit_latency, seq, 1,
                                     (_REQ_DATA,
                                      (entry.frame << cur_shift)
@@ -700,8 +713,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         if stall > st_max:
                             st_max = stall
                         outstanding += 1
-                        c_memif_ops += 1
-                        c_memif_bytes += stalled_bytes
                         vaddr, size, is_write = stalled_chunks[0]
                         vpn = vaddr >> cur_shift
                         key = (cur_asid, vpn)
@@ -714,8 +725,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                             entry.last_used = tick
                             if is_lru:
                                 tlb_set.move_to_end(key)
-                            c_translations += 1
-                            c_mmu_hits += 1
                             push(heap, (now + hit_latency, seq, 1,
                                         (_REQ_DATA,
                                          (entry.frame << cur_shift)
@@ -733,9 +742,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     elif exhausted and outstanding == 0 and finish < 0:
                         finish = now
             else:
-                push(heap, (now + per_level_overhead, seq, 5,  # WALK_STEP
-                            (request[4], request[5], request[6] + 1,
-                             request[7])))
+                nxt = (now + per_level_overhead, seq, 5,      # WALK_STEP
+                       (request[4], request[5], request[6] + 1, request[7]))
                 seq += 1
             if not bus_busy:
                 # Bus grant, inlined (see ``bus_grant`` for the commented
@@ -761,7 +769,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         gpayload, issued = bus_queue_m.popleft()
                         inflight_m += 1
                     wait = now - issued
-                    qw_cnt += 1
                     qw_tot += wait
                     if wait < qw_min:
                         qw_min = wait
@@ -774,11 +781,13 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         beats = 1
                     occupancy = addr_phase + beats
                     c_busy += occupancy
-                    push(heap, (now + occupancy, seq, 3, (chosen, gpayload)))
+                    ev = (now + occupancy, seq, 3, (chosen, gpayload))
+                    if nxt is None:
+                        nxt = ev
+                    else:
+                        push(heap, ev)
                     seq += 1
         elif code == 2:                 # _EV_BUS_ISSUE (memif-port submit)
-            c_bus_requests += 1
-            c_breq_m += 1
             bus_queue_m.append((payload, now))
             if not bus_busy:
                 # Bus grant, inlined.
@@ -803,7 +812,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         gpayload, issued = bus_queue_m.popleft()
                         inflight_m += 1
                     wait = now - issued
-                    qw_cnt += 1
                     qw_tot += wait
                     if wait < qw_min:
                         qw_min = wait
@@ -816,7 +824,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         beats = 1
                     occupancy = addr_phase + beats
                     c_busy += occupancy
-                    push(heap, (now + occupancy, seq, 3, (chosen, gpayload)))
+                    nxt = (now + occupancy, seq, 3, (chosen, gpayload))
                     seq += 1
         elif code == 3:                 # _EV_BUS_FORWARD -> DRAM access
             master, request = payload
@@ -834,7 +842,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             else:
                 latency = row_miss_lat
                 open_rows[bank] = row
-                c_row_misses += 1
             transfer = (size + dram_bpc - 1) // dram_bpc
             if transfer < 1:
                 transfer = 1
@@ -847,23 +854,32 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 c_writes += 1
                 c_bytes_w += size
             else:
-                c_reads += 1
                 c_bytes_r += size
             bank_free[bank] = finish_at
             data_bus_free = data_start + transfer
             # The DRAM resets the request's issue cycle, so the bus's
-            # ``latency_for`` sample equals the DRAM service latency.
+            # ``latency_for`` sample equals the DRAM service latency; it is
+            # taken here, where the completion cycle is known.
             service = finish_at - now
-            dl_cnt += 1
-            dl_tot += service
-            if service < dl_min:
-                dl_min = service
-            if service > dl_max:
-                dl_max = service
-            push(heap, (finish_at, seq, 4, (master, request, service)))
+            if master == walker_master:
+                blw_cnt += 1
+                blw_tot += service
+                if service < blw_min:
+                    blw_min = service
+                if service > blw_max:
+                    blw_max = service
+            else:
+                blm_cnt += 1
+                blm_tot += service
+                if service < blm_min:
+                    blm_min = service
+                if service > blm_max:
+                    blm_max = service
+            nxt = (finish_at, seq, 4, payload)               # DRAM_DONE
             seq += 1
             # Bus grant, inlined (the occupancy window just ended, so the
-            # bus idles unless a queued request can be granted now).
+            # bus idles unless a queued request can be granted now).  The
+            # slot is taken by the DRAM completion.
             cand_w = bus_queue_w and inflight_w < bus_max_inflight
             cand_m = bus_queue_m and inflight_m < bus_max_inflight
             if not (cand_w or cand_m):
@@ -887,7 +903,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     gpayload, issued = bus_queue_m.popleft()
                     inflight_m += 1
                 wait = now - issued
-                qw_cnt += 1
                 qw_tot += wait
                 if wait < qw_min:
                     qw_min = wait
@@ -918,12 +933,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     if outstanding >= max_outstanding:
                         waiting_slot = True
                         stalled_chunks = op[1]
-                        stalled_bytes = op[2]
                         stall_started = now
                         break
                     outstanding += 1
-                    c_memif_ops += 1
-                    c_memif_bytes += op[2]
                     chunks = op[1]
                     vaddr, size, is_write = chunks[0]
                     # Inline clean-hit probe (misses and prefetched hits take
@@ -939,8 +951,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         entry.last_used = tick
                         if is_lru:
                             tlb_set.move_to_end(key)
-                        c_translations += 1
-                        c_mmu_hits += 1
                         push(heap, (now + hit_latency, seq, 1,
                                     (_REQ_DATA,
                                      (entry.frame << cur_shift)
@@ -949,7 +959,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         seq += 1
                     else:
                         translate(vaddr, size, is_write, chunks, 0)
-                    if heap and heap[0][0] == now:
+                    if ((heap and heap[0][0] == now)
+                            or (nxt is not None and nxt[0] == now)):
                         # Another event fires this cycle before the thread's
                         # zero-delay advance would pop; defer via the heap to
                         # preserve the event order.
@@ -959,12 +970,17 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     continue
                 if kind == OP_COMPUTE:
                     c_compute += op[1]
-                    push(heap, (now + op[1], seq, 0, None))
+                    ev = (now + op[1], seq, 0, None)
+                    if nxt is None:
+                        nxt = ev
+                    else:
+                        push(heap, ev)
                     seq += 1
                     break
                 if kind == OP_FENCE:
                     if outstanding == 0:
-                        if heap and heap[0][0] == now:
+                        if ((heap and heap[0][0] == now)
+                                or (nxt is not None and nxt[0] == now)):
                             push(heap, (now, seq, 0, None))
                             seq += 1
                             break
@@ -984,13 +1000,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     tlb.flushes += 1
                     out.mmu_flushes += 1
                 cur_asid = space.asid
-                cur_table = space.page_table
                 cur_page_size = space.page_size
                 cur_shift = cur_page_size.bit_length() - 1
                 cur_mask = cur_page_size - 1
                 cur_vpn_limit = space.vpn_limit
-                cur_pte_bytes = space.pte_bytes
-                cur_levels = space.expected_levels
                 recent_misses.clear()
                 prefetch_score = 16
                 out.context_switches += 1
@@ -1006,9 +1019,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             if level >= len(addresses):
                 walk_finish(request, addresses, started_at)
             else:
-                c_levels += 1
-                c_bus_requests += 1
-                c_breq_w += 1
                 bus_queue_w.append(((_REQ_WALK, addresses[level],
                                      request[2].pte_bytes, False, request,
                                      addresses, level, started_at), now))
@@ -1036,7 +1046,6 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                             gpayload, issued = bus_queue_m.popleft()
                             inflight_m += 1
                         wait = now - issued
-                        qw_cnt += 1
                         qw_tot += wait
                         if wait < qw_min:
                             qw_min = wait
@@ -1049,8 +1058,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                             beats = 1
                         occupancy = addr_phase + beats
                         c_busy += occupancy
-                        push(heap, (now + occupancy, seq, 3,
-                                    (chosen, gpayload)))
+                        nxt = (now + occupancy, seq, 3, (chosen, gpayload))
                         seq += 1
 
     if finish < 0:
@@ -1064,43 +1072,44 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     tlb.misses = tlb_misses
     tlb.evictions = tlb_evictions
 
-    # Fold the localized counters back into the output record.
-    out.translations = c_translations
-    out.tlb_hits = c_mmu_hits
-    out.tlb_misses = c_mmu_misses
-    out.tlb_refills = c_refills
-    out.transactions = c_transactions
-    out.mem_ops = c_mem_ops
-    out.mem_bytes = c_mem_bytes
-    out.memif_ops = c_memif_ops
-    out.memif_bytes = c_memif_bytes
+    # Fold the localized counters back into the output record, deriving the
+    # redundant ones (identities in the docstring).
+    bus_requests = blw_cnt + blm_cnt
+    out.tlb_hits = tlb_hits - hits_before - c_write_upgrades
+    out.tlb_misses = tlb_misses - misses_before + c_write_upgrades
+    out.translations = out.tlb_hits + out.tlb_misses
+    out.tlb_refills = ml_cnt
+    out.transactions = blm_cnt
+    out.mem_ops = out.memif_ops = c_mem_ops
+    out.mem_bytes = out.memif_bytes = c_mem_bytes
     out.compute_cycles = c_compute
-    out.bus_requests = c_bus_requests
-    out.bus_requests_walker = c_breq_w
-    out.bus_requests_memif = c_breq_m
+    out.bus_requests = bus_requests
+    out.bus_requests_walker = blw_cnt
+    out.bus_requests_memif = blm_cnt
     out.bus_busy_cycles = c_busy
     out.bus_contended_grants = c_contended
     out.dram_row_hits = c_row_hits
-    out.dram_row_misses = c_row_misses
-    out.dram_reads = c_reads
+    out.dram_row_misses = bus_requests - c_row_hits
+    out.dram_reads = bus_requests - c_writes
     out.dram_writes = c_writes
     out.dram_bytes_read = c_bytes_r
     out.dram_bytes_written = c_bytes_w
-    out.walks_requested = c_walks_req
-    out.levels_fetched = c_levels
-    out.walks_completed = c_walks_done
+    out.walks_requested = wl_cnt
+    out.levels_fetched = blw_cnt
+    out.walks_completed = wl_cnt
     out.walks_faulted = c_walks_faulted
-    out.walk_cycles = c_walk_cycles
-    out.bus_queue_wait = _make_acc(qw_cnt, qw_tot, qw_min, qw_max)
+    out.walk_cycles = wl_tot
+    out.bus_queue_wait = _make_acc(bus_requests, qw_tot, qw_min, qw_max)
     out.bus_latency_walker = _make_acc(blw_cnt, blw_tot, blw_min, blw_max)
     out.bus_latency_memif = _make_acc(blm_cnt, blm_tot, blm_min, blm_max)
-    out.dram_latency = _make_acc(dl_cnt, dl_tot, dl_min, dl_max)
+    out.dram_latency = _make_acc(bus_requests, blw_tot + blm_tot,
+                                 min(blw_min, blm_min), max(blw_max, blm_max))
     out.stall_cycles = _make_acc(st_cnt, st_tot, st_min, st_max)
-    out.queue_wait = _make_acc(wq_cnt, wq_tot, wq_min, wq_max)
+    out.queue_wait = _make_acc(wl_cnt, wq_tot, wq_min, wq_max)
     out.walk_latency = _make_acc(wl_cnt, wl_tot, wl_min, wl_max)
     out.miss_latency = _make_acc(ml_cnt, ml_tot, ml_min, ml_max)
 
     out.finish = finish
     out.last_cycle = now
-    out.events = events
+    out.events = seq
     return out

@@ -31,15 +31,15 @@ if HAVE_NUMPY:
 #: Cache capacity (programs; a default-scale program is a few hundred KB).
 _CACHE_CAPACITY = 64
 
-#: stable_key -> (RecordedStream, program).  FIFO-evicted at capacity.
-_programs: "OrderedDict[str, Tuple[RecordedStream, list]]" = OrderedDict()
+#: stable_key -> replay program.  LRU-evicted at capacity.
+_programs: "OrderedDict[str, list]" = OrderedDict()
 
 #: Monotonic counters exposed for runner/bench reporting.
 record_stats = {"records": 0, "reuses": 0}
 
 
 def clear_program_cache() -> None:
-    """Drop every cached stream/program (tests and memory pressure)."""
+    """Drop every cached program (tests and memory pressure)."""
     _programs.clear()
 
 
@@ -108,10 +108,10 @@ def build_program(stream: RecordedStream, page_size: int,
     return program
 
 
-def _cache_put(key: str, value: Tuple[RecordedStream, list]) -> None:
+def _cache_put(key: str, program: list) -> None:
     if len(_programs) >= _CACHE_CAPACITY:
         _programs.popitem(last=False)
-    _programs[key] = value
+    _programs[key] = program
 
 
 def program_for_workload(spec, bound, page_size: int,
@@ -127,11 +127,11 @@ def program_for_workload(spec, bound, page_size: int,
     if hit is not None:
         _programs.move_to_end(key)
         record_stats["reuses"] += 1
-        return hit[1]
+        return hit
     record_stats["records"] += 1
     stream = TraceRecorder.capture(bound.make_kernel())
     program = build_program(stream, page_size, max_burst_bytes)
-    _cache_put(key, (stream, program))
+    _cache_put(key, program)
     return program
 
 
@@ -151,7 +151,7 @@ def program_for_plan(mp, plan: Sequence[Tuple[int, List[Operation]]],
     if hit is not None:
         _programs.move_to_end(key)
         record_stats["reuses"] += 1
-        return hit[1]
+        return hit
     record_stats["records"] += 1
     recorder = TraceRecorder()
     current = initial_process
@@ -164,7 +164,7 @@ def program_for_plan(mp, plan: Sequence[Tuple[int, List[Operation]]],
             recorder.on_op(op)
     stream = recorder.finish()
     program = build_program(stream, page_size, max_burst_bytes)
-    _cache_put(key, (stream, program))
+    _cache_put(key, program)
     return program
 
 

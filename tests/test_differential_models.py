@@ -122,11 +122,17 @@ def test_flush_on_switch_never_beats_asid_survival_differential(seed, procs,
 # N-process contention runs.  These tests are the safety net that lets
 # sweeps default to ``tier="auto"``.
 
+import itertools
+from dataclasses import replace
+
 import pytest
 
+from repro.core.platform import PlatformConfig
 from repro.eval.harness import _build_svm_system, run_svm
 from repro.fastpath.record import clear_program_cache
+from repro.mem.bus import BusConfig
 from repro.sim.recorder import HAVE_NUMPY, TraceRecorder, stream_equal
+from repro.vm.pagetable import HUGE_PAGE_SIZE, levels_for_page_size
 
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="replay tier requires numpy")
@@ -149,26 +155,89 @@ def assert_svm_results_equal(event, replay):
         assert stats_e.get(key) == stats_r.get(key), f"stats[{key}]"
 
 
+#: Knobs the replay engine's write-back identities lean on: TLB
+#: replacement, thread outstanding limit, burst size (multi-chunk ops), the
+#: bus's per-master outstanding limit (contended grants and queue waits),
+#: the prefetcher, and the huge-page platform (plus, drawn by the property
+#: test, the single-sharer shared TLB).
+REPLACEMENTS = ("lru", "fifo", "random")
+MAX_OUTSTANDING = (1, 4, 8)
+MAX_BURST_BYTES = (32, 64, 256)
+BUS_INFLIGHT = (1, 2, 8)
+
+
+def knob_config(replacement, outstanding, burst, bus_inflight, prefetch,
+                huge_pages, shared_tlb=False):
+    platform = PlatformConfig(
+        bus=BusConfig(max_outstanding_per_master=bus_inflight))
+    if huge_pages:
+        platform = replace(
+            platform, page_size=HUGE_PAGE_SIZE,
+            page_table_levels=levels_for_page_size(HUGE_PAGE_SIZE))
+    return HarnessConfig(platform=platform, tlb_entries=16,
+                         tlb_replacement=replacement,
+                         max_outstanding=outstanding,
+                         max_burst_bytes=burst, tlb_prefetch=prefetch,
+                         shared_tlb=shared_tlb)
+
+
+def assert_tiers_agree(spec, config):
+    event = run_svm(spec, config, tier="event")
+    replay = run_svm(spec, config, tier="replay")
+    assert event.tier == "event"
+    assert replay.tier == "replay"
+    assert_svm_results_equal(event, replay)
+
+
 @needs_numpy
 @settings(max_examples=8, deadline=None)
 @given(kernel=st.sampled_from(sorted(SIZES)),
        size_index=st.integers(min_value=0, max_value=7),
        seed=st.integers(min_value=0, max_value=2**16),
-       model=st.sampled_from(SVM_FAMILY))
+       replacement=st.sampled_from(REPLACEMENTS),
+       outstanding=st.sampled_from(MAX_OUTSTANDING),
+       burst=st.sampled_from(MAX_BURST_BYTES),
+       bus_inflight=st.sampled_from(BUS_INFLIGHT),
+       prefetch=st.sampled_from((0, 2)),
+       huge_pages=st.booleans(),
+       shared_tlb=st.booleans())
 def test_replay_tier_matches_event_tier_exactly(kernel, size_index, seed,
-                                                model):
+                                                replacement, outstanding,
+                                                burst, bus_inflight, prefetch,
+                                                huge_pages, shared_tlb):
     sizes = SIZES[kernel]
     spec = workload(kernel, scale="tiny", seed=seed,
                     **sizes[size_index % len(sizes)])
-    config = HarnessConfig(tlb_entries=16)
-    event = get_model(model).run(spec, config, tier="event")
-    replay = get_model(model).run(spec, config, tier="replay")
-    assert replay.tier == "replay"
-    assert event.tier == "event"
-    for name in ("total_cycles", "fabric_cycles", "tlb_hit_rate",
-                 "tlb_misses", "faults", "software_overhead_cycles"):
-        assert getattr(event, name) == getattr(replay, name), name
-    assert event.breakdown == replay.breakdown
+    assert_tiers_agree(spec, knob_config(replacement, outstanding, burst,
+                                         bus_inflight, prefetch, huge_pages,
+                                         shared_tlb))
+
+
+def _knob_grid():
+    """108 configurations: every replacement x outstanding x burst x
+    prefetch x page-size combination, with the bus limit and the kernel
+    rotated Latin-square style so each pairs with every other knob value."""
+    kernels = sorted(SIZES)
+    grid = []
+    for r, o, b in itertools.product(range(3), repeat=3):
+        for prefetch, huge_pages in itertools.product((0, 2), (False, True)):
+            bus_inflight = BUS_INFLIGHT[(r + o + b) % 3]
+            kernel = kernels[(r + o + b + prefetch + huge_pages) % 4]
+            args = (REPLACEMENTS[r], MAX_OUTSTANDING[o], MAX_BURST_BYTES[b],
+                    bus_inflight, prefetch, huge_pages)
+            ident = (f"{kernel}-{args[0]}-out{args[1]}-burst{args[2]}-"
+                     f"bus{bus_inflight}-pf{prefetch}-"
+                     f"{'2m' if huge_pages else '4k'}")
+            grid.append(pytest.param(kernel, len(grid), args, id=ident))
+    return grid
+
+
+@needs_numpy
+@pytest.mark.parametrize("kernel,seed,knobs", _knob_grid())
+def test_replay_tier_matches_event_tier_across_knob_grid(kernel, seed, knobs):
+    """Full stats dump equality on a fixed grid of engine-relevant knobs."""
+    spec = workload(kernel, scale="tiny", seed=seed, **SIZES[kernel][-1])
+    assert_tiers_agree(spec, knob_config(*knobs))
 
 
 @needs_numpy
