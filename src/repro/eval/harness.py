@@ -15,6 +15,7 @@ derived metrics the evaluation section reports.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -31,13 +32,15 @@ from ..os.telemetry import (ProcessInfo, TelemetryBus, TelemetryTrace,
 from ..sim.process import run_functional
 from ..sim.stats import sum_matching
 from ..sim.trace import GLOBAL_TRACER
-from ..workloads.multiprocess import (MultiProcessSpec,
+from ..workloads.multiprocess import (EpochPlanner, MultiProcessSpec,
                                       adaptive_time_sliced_kernel, slice_plan,
                                       time_sliced_kernel)
 from ..workloads.specs import BoundWorkload, WorkloadSpec
 
 if TYPE_CHECKING:
     from ..exec.runner import SweepRunner
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -291,6 +294,8 @@ def run_svm(spec: WorkloadSpec, config: HarnessConfig | None = None,
                 raise
             tier_reason = str(reason)
             GLOBAL_TRACER.log(0, "harness", "tier_fallback", tier_reason)
+            logger.info("run_svm(%s) falls back to the event tier: %s",
+                        spec.name, tier_reason)
 
     platform, system, bound = _build_svm_system(spec, config, num_threads)
     kernels = {f"hwt{i}": bound[i].make_kernel() for i in range(num_threads)}
@@ -374,6 +379,30 @@ def _build_mp_system(mp: MultiProcessSpec, config: HarnessConfig):
     return platform, system, spaces, handlers, op_lists
 
 
+def _epoch_planner(mp: MultiProcessSpec, config: HarnessConfig, platform,
+                   spaces, handlers, op_lists) -> Optional[EpochPlanner]:
+    """The epoch planner of an adaptive-policy run (None for static ones).
+
+    Shared by both tiers: the event tier's kernel generator and the replay
+    engine's slice hook drive the same planner over the same telemetry bus.
+    """
+    policy = get_policy(mp.policy)
+    if not policy.adaptive:
+        return None
+    bus = TelemetryBus(
+        platform.sim,
+        processes=[ProcessInfo(name=str(index),
+                               asid=spaces[index].page_table.asid,
+                               fault_handler=handlers[index].name)
+                   for index in range(mp.num_processes)],
+        base_quantum=mp.quantum)
+    return EpochPlanner(op_lists, policy,
+                        SchedulerConfig(num_cores=1, quantum=mp.quantum,
+                                        context_switch_cycles=0),
+                        bus, weights=mp.weights,
+                        page_size=config.platform.page_size)
+
+
 def run_multiprocess(mp: MultiProcessSpec,
                      config: HarnessConfig | None = None,
                      flush_on_switch: bool = False,
@@ -395,20 +424,22 @@ def run_multiprocess(mp: MultiProcessSpec,
     ``config.host_shares_tlb`` the host CPU's pinning and fault-service page
     touches probe and refill the same TLB.
 
-    ``tier`` selects the execution engine exactly as in :func:`run_svm`;
-    adaptive policies always fall back to the event tier (the telemetry bus
-    needs live slices) and ``SVMResult.tier_reason`` says so explicitly.
+    ``tier`` selects the execution engine exactly as in :func:`run_svm`.
+    Static and adaptive policies, resident or demand-faulting processes all
+    replay; ``SVMResult.tier_reason`` says why a run fell back (e.g. a
+    non-round-robin bus arbiter, or a fatal fault the event tier must model).
 
     **Static vs adaptive scheduling.**  Policies without an online feedback
     hook (``adaptive = False``) are planned exactly as before: the whole
     timeline is computed up front from static estimates and replayed — this
     path is bit-identical to previous releases.  Adaptive policies
     (``adaptive = True``, e.g. ``adaptive-fault``/``miss-fair``/
-    ``host-aware``) instead run epoch by epoch: a :class:`TelemetryBus`
-    samples live per-process counters at every fence-drained slice boundary,
-    and ``policy.observe(epoch_stats)`` replans the next epoch's quanta from
-    measured contention.  The resulting per-epoch trace is returned on
-    ``SVMResult.telemetry``.
+    ``host-aware``) instead run epoch by epoch through an
+    :class:`~repro.workloads.multiprocess.EpochPlanner`: a
+    :class:`TelemetryBus` samples live per-process counters at every
+    fence-drained slice boundary, and ``policy.observe(epoch_stats)``
+    replans the next epoch's quanta from measured contention.  The
+    resulting per-epoch trace is returned on ``SVMResult.telemetry``.
     """
     config = config or HarnessConfig()
     _check_tier(tier)
@@ -424,6 +455,8 @@ def run_multiprocess(mp: MultiProcessSpec,
                 raise
             tier_reason = str(reason)
             GLOBAL_TRACER.log(0, "harness", "tier_fallback", tier_reason)
+            logger.info("run_multiprocess(%s) falls back to the event tier: %s",
+                        mp.name, tier_reason)
 
     platform, system, spaces, handlers, op_lists = _build_mp_system(mp, config)
     synth = system.threads["hwt0"]
@@ -434,22 +467,10 @@ def run_multiprocess(mp: MultiProcessSpec,
         synth.mmu.activate(spaces[process].page_table, handlers[process])
         return platform.kernel.cost_context_switch()
 
-    policy = get_policy(mp.policy)
-    bus: Optional[TelemetryBus] = None
-    if policy.adaptive:
-        bus = TelemetryBus(
-            platform.sim,
-            processes=[ProcessInfo(name=str(index),
-                                   asid=spaces[index].page_table.asid,
-                                   fault_handler=handlers[index].name)
-                       for index in range(mp.num_processes)],
-            base_quantum=mp.quantum)
-        kernel = adaptive_time_sliced_kernel(
-            op_lists, policy,
-            SchedulerConfig(num_cores=1, quantum=mp.quantum,
-                            context_switch_cycles=0),
-            bus=bus, on_switch=on_switch, weights=mp.weights,
-            page_size=config.platform.page_size)
+    planner = _epoch_planner(mp, config, platform, spaces, handlers,
+                             op_lists)
+    if planner is not None:
+        kernel = adaptive_time_sliced_kernel(planner, on_switch)
     else:
         plan = slice_plan(op_lists, quantum=mp.quantum, policy=mp.policy,
                           weights=mp.weights,
@@ -459,8 +480,8 @@ def run_multiprocess(mp: MultiProcessSpec,
     result = system.run({"hwt0": kernel}, pin_all=config.pin_all,
                         prefetch_pages=config.prefetch_pages)
     fabric = max(result.per_thread_fabric_cycles.values(), default=0)
-    svm = _svm_result(result, fabric,
-                      telemetry=bus.trace if bus is not None else None)
+    svm = _svm_result(result, fabric, telemetry=(
+        planner.bus.trace if planner is not None else None))
     svm.tier_reason = tier_reason
     return svm
 

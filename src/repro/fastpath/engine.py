@@ -2,7 +2,7 @@
 
 The component-based event tier executes a kernel through ~10 Python objects
 (thread → memif → MMU → TLB → walker → bus → DRAM), each interaction a
-closure on the global heap.  This engine replays a pre-recorded operation
+closure on the global heap.  This engine replays a pre-lowered operation
 stream (:mod:`repro.fastpath.record`) through *one* dispatch loop whose
 events are small tuples ``(cycle, seq, code, payload)`` and whose component
 state lives in local variables.
@@ -27,9 +27,20 @@ DRAM request splits, walk totals, DRAM latency, the event count) are exact
 functions of the kept ones once the run has drained, and are derived at
 write-back — :func:`replay_fabric` lists the identities.
 
-The engine refuses to service a translation fault (`ReplayFault`): the replay
-tier's eligibility rules only admit runs whose pages are all present, and a
-surprise fault means the caller must fall back to the event tier.
+Demand faults are serviced inline, mirroring ``MMU._fault`` and
+:class:`~repro.os.fault_handler.DemandPagingHandler` event for event: the
+fault queues at the faulting space's real handler, and after the interrupt
+latency the handler's own ``_resolve`` fixes the page table, allocates the
+frame, touches the shared TLB from the host and counts the OS statistics;
+after the service time the walk retries.  Only fatal outcomes — an unmapped
+page, out of memory, a full fault queue, exhausted retries — raise
+:class:`ReplayFault`, and the caller falls back to the event tier, which
+models the aborted thread.
+
+Adaptive multi-process schedules are replayed one slice at a time: an
+``OP_HOOK`` op after a slice's fence calls back into the caller (the shared
+epoch planner), which closes the slice, replans and returns the next slice's
+ops to append.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..sim.engine import SimulationError
+from ..vm.types import AccessType, FaultType, PageFault
 
 __all__ = ["ReplayFault", "ReplaySpace", "ReplayContext", "ReplayOutput",
            "replay_fabric"]
@@ -50,6 +62,7 @@ OP_MEM = 1         # (1, chunks, total_bytes)  chunks: [(vaddr, size, is_write)]
 OP_FENCE = 2       # (2,)
 OP_YIELD = 3       # (3,)
 OP_SWITCH = 4      # (4, process_index)
+OP_HOOK = 5        # (5,)  slice boundary: ReplayContext.on_slice appends ops
 
 # Event codes (third element of a heap tuple).
 _EV_ADVANCE = 0        # thread fetches/dispatches the next program op
@@ -58,6 +71,8 @@ _EV_BUS_ISSUE = 2      # memif issue latency elapsed -> bus submit
 _EV_BUS_FORWARD = 3    # bus occupancy elapsed -> DRAM access + next grant
 _EV_DRAM_DONE = 4      # DRAM transaction complete -> route to requester
 _EV_WALK_STEP = 5      # walker per-level overhead elapsed -> next level
+_EV_FAULT_SERVICE = 6  # fault handler takes the next queued fault
+_EV_FAULT_DONE = 7     # fault service time elapsed -> MMU retries the walk
 
 # Bus/DRAM payload routing (first element of a request payload).
 _REQ_DATA = 0
@@ -65,7 +80,7 @@ _REQ_WALK = 1
 
 
 class ReplayFault(RuntimeError):
-    """The replayed stream hit a translation fault the fast path cannot model."""
+    """The replayed stream hit a fatal fault; the event tier models the abort."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,9 @@ class ReplaySpace:
     vpn_limit: int                # 1 << vpn_bits
     pte_bytes: int
     expected_levels: int
+    #: The space's real :class:`~repro.os.fault_handler.DemandPagingHandler`
+    #: (None: every fault is fatal to the replay).
+    fault_handler: object = None
 
 
 @dataclass
@@ -134,6 +152,19 @@ class ReplayContext:
     on_switch_cost: Optional[Callable[[], int]] = None
     max_cycles: Optional[int] = None
     initial_space: int = 0
+    #: ``MMUConfig.max_fault_retries``: walks a faulting access may retry.
+    max_fault_retries: int = 3
+    #: Who faults (``PageFault.thread``) and the absolute simulator cycle of
+    #: micro-time 0 (``PageFault.cycle`` and ``on_slice`` report absolute
+    #: cycles).
+    thread_name: str = "?"
+    launch_cycle: int = 0
+    #: Called at every ``OP_HOOK`` with the absolute cycle and the live MMU/
+    #: walker telemetry counters (``tlb_hits``, ``tlb_misses``,
+    #: ``tlb_refills``, ``walker_cycles``); returns the ops to append to the
+    #: program (none: the program ends there).  The engine edits a program
+    #: with hooks in place, dropping the ops it has already fetched.
+    on_slice: Optional[Callable[[int, Dict[str, int]], List[tuple]]] = None
 
 
 @dataclass
@@ -160,6 +191,10 @@ class ReplayOutput:
     context_switches: int = 0
     mmu_flushes: int = 0
     miss_latency: _Acc = field(default_factory=_Acc)
+    faults: int = 0
+    #: ``FaultType.value`` -> count (the MMU's ``faults.<type>`` counters).
+    fault_types: Dict[str, int] = field(default_factory=dict)
+    fault_service_latency: _Acc = field(default_factory=_Acc)
     # ptw.*
     walks_requested: int = 0
     levels_fetched: int = 0
@@ -234,17 +269,21 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     fields are exact functions of the kept ones and are computed once at
     write-back:
 
-    * ``tlb_hits`` / ``tlb_misses`` (MMU) — TLB lookup hits / misses, with
+    * ``tlb_hits`` / ``tlb_misses`` (MMU) — TLB lookup hits / misses, minus
+      the host's own lookups during fault service (``host_touch``), with
       write-protection hits moved from hits to misses; ``translations`` is
-      their sum.
-    * ``tlb_refills`` — the ``miss_latency`` sample count.
+      their sum (a fault's retry walk makes no second lookup).
+    * ``tlb_refills`` — the ``miss_latency`` sample count (a faulting walk
+      refills only once its retry succeeds); ``faults`` — the sum of
+      ``fault_types``.
     * ``walks_requested`` / ``walks_completed`` / ``walk_cycles`` and the
       ``queue_wait`` count — the ``walk_latency`` count / count / total /
-      count.
+      count (retry walks are requested and complete like any other).
     * ``levels_fetched`` / ``bus_requests_walker`` — the walker-port
       ``bus_latency_walker`` count; ``transactions`` /
       ``bus_requests_memif`` — the memif-port ``bus_latency_memif`` count;
-      ``bus_requests`` and the ``bus_queue_wait`` count — their sum.
+      ``bus_requests`` and the ``bus_queue_wait`` count — their sum (a
+      faulting chunk issues its one transaction after the retry).
     * ``memif_ops`` / ``memif_bytes`` — ``mem_ops`` / ``mem_bytes``.
     * ``dram_row_misses`` / ``dram_reads`` — bus requests minus
       ``dram_row_hits`` / ``dram_writes``.
@@ -252,6 +291,12 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
       DRAM resets each request's issue cycle, so both sample the same DRAM
       service latency).
     * ``events`` — the number of events scheduled.
+
+    Host lookups are the one thing outside the fabric that touches the TLB
+    mid-run: fault service hands the inlined TLB state (tick, hit/miss/
+    eviction counts) to the real object before calling the handler's
+    ``_resolve`` and reloads it after, booking the host's hits and misses
+    apart from the MMU's.
     """
     out = ReplayOutput(finish=-1, last_cycle=0, events=0)
 
@@ -271,7 +316,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
 
     # ----- thread state -------------------------------------------------
     pc = 0
-    nops = len(program)
+    nops = len(program)                # re-read after every OP_HOOK
+    on_slice = ctx.on_slice
+    launch_cycle = ctx.launch_cycle
     outstanding = 0
     waiting_slot = False
     waiting_fence = False
@@ -307,6 +354,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     tlb_evictions = tlb.evictions
     hits_before = tlb_hits
     misses_before = tlb_misses
+    c_host_hits = 0                   # host_touch lookups during fault service
+    c_host_misses = 0
     from ..vm.tlb import TLBEntry
 
     # ----- prefetcher state (mirrors MMU) -------------------------------
@@ -319,11 +368,19 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     walk_queue: deque = deque()
     walker_busy = False
     per_level_overhead = ctx.per_level_overhead
-    # The page tables are immutable during a replay (faults are rejected, no
-    # OS activity runs), so per-vpn walk addresses and leaf PTEs memoize.
+    # Only fault service changes a page table during a replay, so per-vpn
+    # walk addresses and leaf PTEs memoize; a serviced fault drops its vpn.
     wa_cache: Dict[tuple, list] = {}
     pte_cache: Dict[tuple, object] = {}
     _missing = object()
+
+    # ----- fault handler state (mirrors DemandPagingHandler) ------------
+    # One queue serves every space: a context switch waits for a drained
+    # fabric, so two processes' handlers are never busy at once (OP_SWITCH
+    # checks it and raises ReplayFault otherwise).
+    fault_queue: deque = deque()      # (fault, walk request, fault_started)
+    fault_busy = False
+    max_fault_retries = ctx.max_fault_retries
 
     # ----- bus state ----------------------------------------------------
     walker_master = ctx.walker_master
@@ -425,7 +482,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         seq += 1
 
     # Walk request tuples: demand -> (0, vpn, space, issue_payload, started,
-    # issued_at); prefetch -> (1, vpn, space, (key, stride), 0, issued_at).
+    # issued_at, retries_left); prefetch -> (1, vpn, space, (key, stride), 0,
+    # issued_at, 0).
     def walker_walk(request: tuple) -> None:
         walk_queue.append(request)
         if not walker_busy:
@@ -491,10 +549,9 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
         if request[0] == _REQ_DATA:       # demand walk
             if (entry is None or not entry.present
                     or (request[3][2] and not entry.writable)):
-                raise ReplayFault(
-                    f"translation fault on vpn {vpn:#x} (asid "
-                    f"{req_space.asid}); the replay tier cannot service "
-                    "faults — run this workload on the event tier")
+                demand_fault(request, entry)
+                walker_start_next()
+                return
             # TLB.insert under the *currently active* ASID (mirrors the MMU,
             # which tags demand refills with its active page table).
             key = (cur_asid, vpn)
@@ -589,7 +646,8 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             prefetches_inflight.add(key)
             prefetch_score -= 1
             out.prefetches_issued += 1
-            walker_walk((_REQ_WALK, target, space_now, (key, stride), 0, now))
+            walker_walk((_REQ_WALK, target, space_now, (key, stride), 0, now,
+                         0))
 
     def translate(vaddr: int, size: int, is_write: bool, chunks: list,
                   index: int) -> None:
@@ -633,7 +691,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
             return
         walker_walk((_REQ_DATA, vpn, space,
                      (vaddr & cur_mask, size, is_write, chunks, index),
-                     now, now))
+                     now, now, max_fault_retries))
         # _miss_stride: continue the closest recent stream, else next-page.
         stride = 1
         for recent in reversed(recent_misses):
@@ -643,6 +701,90 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                 break
         recent_misses.append(vpn)
         maybe_prefetch(vpn, stride)
+
+    # --------------------------------------------------------- fault path
+    def demand_fault(request: tuple, entry) -> None:
+        """``MMU._fault`` + ``DemandPagingHandler.handle_fault``."""
+        nonlocal fault_busy, seq
+        req_space = request[2]
+        vpn = request[1]
+        issue_payload = request[3]
+        if entry is None:
+            fault_type = FaultType.NOT_MAPPED
+        elif not entry.present:
+            fault_type = FaultType.NOT_PRESENT
+        else:
+            fault_type = FaultType.PROTECTION
+        handler = req_space.fault_handler
+        if (fault_type is FaultType.NOT_MAPPED or handler is None
+                or request[6] <= 0):     # unmapped, unhandled, out of retries
+            raise ReplayFault(
+                f"fatal {fault_type.value} fault on vpn {vpn:#x} (asid "
+                f"{req_space.asid}, retries left {request[6]}); the event "
+                "tier models the aborted thread")
+        out.fault_types[fault_type.value] = (
+            out.fault_types.get(fault_type.value, 0) + 1)
+        fault = PageFault(
+            vaddr=vpn * req_space.page_size + issue_payload[0],
+            access=AccessType.WRITE if issue_payload[2] else AccessType.READ,
+            fault_type=fault_type, thread=ctx.thread_name,
+            cycle=launch_cycle + now)
+        handler.count("faults_received")
+        handler.fault_log.append(fault)
+        config = handler.config
+        if len(fault_queue) >= config.max_queue_depth:
+            raise ReplayFault(f"fault queue overflow on vpn {vpn:#x} (asid "
+                              f"{req_space.asid})")
+        fault_queue.append((fault, request, now))
+        if not fault_busy:
+            fault_busy = True
+            push(heap, (now + config.interrupt_latency, seq, 6, None))
+            seq += 1
+
+    def fault_service() -> None:
+        """``DemandPagingHandler._service_next`` around the real ``_resolve``."""
+        nonlocal fault_busy, seq, tick, tlb_hits, tlb_misses, tlb_evictions
+        nonlocal c_host_hits, c_host_misses
+        if not fault_queue:
+            fault_busy = False
+            return
+        fault, request, fault_started = fault_queue.popleft()
+        handler = request[2].fault_handler
+        # _resolve's host_touch probes the TLB through the real object.
+        tlb._tick = tick
+        tlb.hits = tlb_hits
+        tlb.misses = tlb_misses
+        tlb.evictions = tlb_evictions
+        resolved, extra = handler._resolve(fault)
+        tick = tlb._tick
+        tlb_evictions = tlb.evictions
+        c_host_hits += tlb.hits - tlb_hits
+        c_host_misses += tlb.misses - tlb_misses
+        tlb_hits = tlb.hits
+        tlb_misses = tlb.misses
+        if not resolved:
+            raise ReplayFault(
+                f"unresolvable {fault.fault_type.value} fault at "
+                f"{fault.vaddr:#x}; the event tier models the aborted thread")
+        cache_key = (request[2].asid, request[1])
+        wa_cache.pop(cache_key, None)
+        pte_cache.pop(cache_key, None)
+        push(heap, (now + handler.config.service_cycles + extra, seq, 7,
+                    (request, fault_started, now)))
+        seq += 1
+
+    def fault_done(payload: tuple) -> None:
+        """The handler's ``finish`` + the MMU's ``resume(True)``."""
+        nonlocal seq
+        request, fault_started, started = payload
+        handler = request[2].fault_handler
+        handler.sample("service_latency", now - started)
+        handler.count("faults_resolved")
+        out.fault_service_latency.add(now - fault_started)
+        walker_walk((_REQ_DATA, request[1], request[2], request[3],
+                     request[4], now, request[6] - 1))
+        push(heap, (now, seq, 6, None))          # schedule(0, _service_next)
+        seq += 1
 
     # ------------------------------------------------------------ main loop
     nxt = (ctx.start_latency, seq, 0, None)                   # ADVANCE
@@ -991,8 +1133,30 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     push(heap, (now + 1, seq, 0, None))
                     seq += 1
                     break
+                if kind == OP_HOOK:
+                    # Where the event tier's kernel generator resumes after
+                    # a slice's Fence: the telemetry reads the MMU/walker
+                    # counters as the event tier's stat groups hold them.
+                    # Fetched ops are dead; drop them before appending.
+                    del program[:pc]
+                    pc = 0
+                    program.extend(on_slice(launch_cycle + now, {
+                        "tlb_hits": (tlb_hits - hits_before
+                                     - c_write_upgrades - c_host_hits),
+                        "tlb_misses": (tlb_misses - misses_before
+                                       + c_write_upgrades - c_host_misses),
+                        "tlb_refills": ml_cnt,
+                        "walker_cycles": wl_tot}))
+                    nops = len(program)
+                    continue
                 # OP_SWITCH: runs inside this advance, like the generator's
                 # switch hook; a positive stall behaves as a Compute op.
+                if fault_queue or fault_busy:
+                    # The one fault queue stands in for every space's
+                    # handler only while a switch finds it drained.
+                    raise ReplayFault(
+                        "context switch with a demand fault in flight; "
+                        "replay serves every space from one fault queue")
                 space = spaces[op[1]]
                 if ctx.flush_on_switch:
                     for tlb_set in tlb_sets:
@@ -1014,7 +1178,7 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                     seq += 1
                     break
                 # zero-stall switch: fall through to the next program op
-        else:   # _EV_WALK_STEP (per-level overhead elapsed; walk_do inlined)
+        elif code == 5:   # _EV_WALK_STEP (per-level overhead; walk_do inlined)
             request, addresses, level, started_at = payload
             if level >= len(addresses):
                 walk_finish(request, addresses, started_at)
@@ -1060,6 +1224,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
                         c_busy += occupancy
                         nxt = (now + occupancy, seq, 3, (chosen, gpayload))
                         seq += 1
+        elif code == 6:                 # _EV_FAULT_SERVICE
+            fault_service()
+        else:                           # _EV_FAULT_DONE
+            fault_done(payload)
 
     if finish < 0:
         raise SimulationError(
@@ -1075,10 +1243,12 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     # Fold the localized counters back into the output record, deriving the
     # redundant ones (identities in the docstring).
     bus_requests = blw_cnt + blm_cnt
-    out.tlb_hits = tlb_hits - hits_before - c_write_upgrades
-    out.tlb_misses = tlb_misses - misses_before + c_write_upgrades
+    out.tlb_hits = tlb_hits - hits_before - c_write_upgrades - c_host_hits
+    out.tlb_misses = (tlb_misses - misses_before + c_write_upgrades
+                      - c_host_misses)
     out.translations = out.tlb_hits + out.tlb_misses
     out.tlb_refills = ml_cnt
+    out.faults = sum(out.fault_types.values())
     out.transactions = blm_cnt
     out.mem_ops = out.memif_ops = c_mem_ops
     out.mem_bytes = out.memif_bytes = c_mem_bytes
@@ -1112,4 +1282,10 @@ def replay_fabric(program: List[tuple], ctx: ReplayContext) -> ReplayOutput:
     out.finish = finish
     out.last_cycle = now
     out.events = seq
+    # The helpers reach one another through closure cells: a reference
+    # cycle that would keep the context — through ``on_slice`` the whole
+    # platform — alive until a full garbage collection.  Break it.
+    bus_grant = walker_walk = walker_start_next = walk_do = None
+    walk_finish = maybe_prefetch = translate = None
+    demand_fault = fault_service = fault_done = None
     return out

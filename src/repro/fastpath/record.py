@@ -1,32 +1,30 @@
-"""Building (and caching) replay programs from recorded op streams.
+"""Building (and caching) replay programs from kernel op streams.
 
 A *replay program* is the engine-facing form of a kernel: a list of small
 tuples (see :mod:`repro.fastpath.engine`) with every memory operation already
 split into page/burst-bounded chunks — the work
 :meth:`repro.hwthread.memif.MemoryInterface._split` would do per run happens
-once here, vectorized over the recorded NumPy columns.
+once here, in :func:`lower_ops`.  Static programs (one workload, one static
+slice plan) are cached; the slices of an adaptive schedule are lowered as
+the run reaches them and never cached.  Lowering is pure Python, so the
+replay tier needs no NumPy.
 
 Programs are content-keyed alongside :class:`repro.exec.cache.MemoCache`'s
 philosophy: the key is :func:`repro.exec.keys.stable_key` over the workload
 spec and the two parameters the chunking depends on (page size, max burst),
-so a spec's stream is recorded exactly once per workload *shape* no matter
+so a spec's stream is lowered exactly once per workload *shape* no matter
 how many sweep points replay it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from ..exec.keys import stable_key
-from ..sim.process import Operation
-from ..sim.recorder import (HAVE_NUMPY, KIND_COMPUTE, KIND_FENCE, KIND_MEM,
-                            KIND_SWITCH, KIND_YIELD, RecordedStream,
-                            TraceRecorder)
+from ..sim.process import Access, Burst, Compute, Fence, Operation, Yield
+from ..sim.recorder import UnrecordableOperation
 from .engine import OP_COMPUTE, OP_FENCE, OP_MEM, OP_SWITCH, OP_YIELD
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 #: Cache capacity (programs; a default-scale program is a few hundred KB).
 _CACHE_CAPACITY = 64
@@ -62,49 +60,38 @@ def split_chunks(addr: int, size: int, is_write: bool, page_size: int,
     return chunks
 
 
-def build_program(stream: RecordedStream, page_size: int,
-                  max_burst_bytes: int) -> list:
-    """Lower a recorded stream into engine op tuples.
+def lower_ops(ops: Iterable[Operation], page_size: int,
+              max_burst_bytes: int) -> list:
+    """Lower operations (a kernel generator or a list) into engine op tuples.
 
-    The common case — a memory op that fits one chunk — is detected for the
-    whole stream at once on the NumPy columns; only boundary-crossing ops go
-    through the scalar splitter.
+    A memory op that fits one chunk — within the burst limit, not crossing
+    a page — becomes one chunk directly; the rest go through
+    :func:`split_chunks`.  A ``Burst`` is lowered by its total footprint,
+    exactly as the memory interface chunks it.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("building a replay program requires numpy")
     limit = min(max_burst_bytes, page_size)
-    kinds = stream.kinds
-    # Vectorized single-chunk test: fits the burst limit and does not cross
-    # a page boundary.
-    mem = kinds == KIND_MEM
-    single = _np.zeros(len(kinds), dtype=bool)
-    if mem.any():
-        addrs = stream.addrs
-        sizes = stream.sizes
-        single[mem] = ((sizes[mem] <= limit)
-                       & ((addrs[mem] % page_size) + sizes[mem] <= page_size)
-                       & (sizes[mem] > 0))
-
     program: list = []
     append = program.append
-    rows = zip(kinds.tolist(), stream.addrs.tolist(), stream.sizes.tolist(),
-               stream.writes.tolist(), stream.cycles.tolist(),
-               single.tolist())
-    for kind, addr, size, write, cycles, one in rows:
-        if kind == KIND_MEM:
-            if one:
+    for op in ops:
+        if isinstance(op, (Access, Burst)):
+            addr = op.addr
+            size = op.total_bytes if isinstance(op, Burst) else op.size
+            write = op.is_write
+            if 0 < size <= limit and (addr % page_size) + size <= page_size:
                 append((OP_MEM, [(addr, size, write)], size))
             else:
                 append((OP_MEM, split_chunks(addr, size, write, page_size,
                                              limit), size))
-        elif kind == KIND_COMPUTE:
-            append((OP_COMPUTE, cycles))
-        elif kind == KIND_FENCE:
+        elif isinstance(op, Compute):
+            append((OP_COMPUTE, op.cycles))
+        elif isinstance(op, Fence):
             append((OP_FENCE,))
-        elif kind == KIND_YIELD:
+        elif isinstance(op, Yield):
             append((OP_YIELD,))
-        else:   # KIND_SWITCH (addr column carries the process index)
-            append((OP_SWITCH, addr))
+        else:
+            raise UnrecordableOperation(
+                f"cannot lower operation {op!r}; supported kinds are "
+                "Compute/Access/Burst/Fence/Yield")
     return program
 
 
@@ -129,8 +116,7 @@ def program_for_workload(spec, bound, page_size: int,
         record_stats["reuses"] += 1
         return hit
     record_stats["records"] += 1
-    stream = TraceRecorder.capture(bound.make_kernel())
-    program = build_program(stream, page_size, max_burst_bytes)
+    program = lower_ops(bound.make_kernel(), page_size, max_burst_bytes)
     _cache_put(key, program)
     return program
 
@@ -153,21 +139,12 @@ def program_for_plan(mp, plan: Sequence[Tuple[int, List[Operation]]],
         record_stats["reuses"] += 1
         return hit
     record_stats["records"] += 1
-    recorder = TraceRecorder()
+    program: list = []
     current = initial_process
     for process, ops in plan:
         if process != current:
-            recorder._append(KIND_FENCE, 0, 0, False, 0)
-            recorder._append(KIND_SWITCH, process, 0, False, 0)
+            program += [(OP_FENCE,), (OP_SWITCH, process)]
             current = process
-        for op in ops:
-            recorder.on_op(op)
-    stream = recorder.finish()
-    program = build_program(stream, page_size, max_burst_bytes)
+        program += lower_ops(ops, page_size, max_burst_bytes)
     _cache_put(key, program)
     return program
-
-
-def stream_for_ops(ops) -> RecordedStream:
-    """Record an operation iterable (generator or list) without caching."""
-    return TraceRecorder.capture(ops)

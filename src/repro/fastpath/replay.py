@@ -11,19 +11,25 @@ statistic groups, so ``platform.snapshot()`` and the harness aggregation are
 reused unchanged and the returned :class:`~repro.eval.harness.SVMResult` is
 exactly what the event tier would have produced.
 
+Demand faults are serviced inside the engine by the real fault handlers, and
+adaptive scheduling policies replay slice by slice through the same
+:class:`~repro.workloads.multiprocess.EpochPlanner` the event tier drives.
 Eligibility is decided *before* running (:func:`svm_replay_blockers` /
 :func:`mp_replay_blockers` return a human-readable reason or ``None``); a
-surprise fault mid-replay raises :class:`~repro.fastpath.engine.ReplayFault`,
+fatal fault mid-replay raises :class:`~repro.fastpath.engine.ReplayFault`,
 which ``tier="auto"`` callers treat as "fall back to the event tier".
 """
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, List, Optional
 
-from ..sim.recorder import HAVE_NUMPY
-from .engine import ReplayContext, ReplaySpace, replay_fabric
-from .record import program_for_plan, program_for_workload
+from .engine import (OP_FENCE, OP_HOOK, OP_SWITCH, ReplayContext, ReplayFault,
+                     ReplaySpace, replay_fabric)
+from .record import lower_ops, program_for_plan, program_for_workload
+
+logger = logging.getLogger(__name__)
 
 __all__ = ["TierUnavailable", "svm_replay_blockers", "mp_replay_blockers",
            "replay_svm", "replay_multiprocess"]
@@ -38,35 +44,20 @@ class TierUnavailable(RuntimeError):
 # ---------------------------------------------------------------------------
 def svm_replay_blockers(spec, config, num_threads: int = 1) -> Optional[str]:
     """Why a single-process run cannot replay (``None`` = eligible)."""
-    if not HAVE_NUMPY:
-        return "numpy is unavailable, so streams cannot be recorded"
     if num_threads != 1:
         return (f"replay models a single hardware thread "
                 f"(num_threads={num_threads})")
     if config.platform.arbiter != "round_robin":
         return (f"replay inlines the round-robin bus arbiter "
                 f"(arbiter={config.platform.arbiter!r})")
-    if spec.residency < 1.0 and not config.pin_all:
-        return (f"non-resident pages would fault (residency="
-                f"{spec.residency}); faults need the event tier")
     return None
 
 
 def mp_replay_blockers(mp, config) -> Optional[str]:
     """Why a multi-process run cannot replay (``None`` = eligible)."""
-    if not HAVE_NUMPY:
-        return "numpy is unavailable, so streams cannot be recorded"
-    from ..os.scheduler import get_policy
-    if get_policy(mp.policy).adaptive:
-        return (f"adaptive policy {mp.policy!r} replans from live telemetry "
-                "slices, which only the event tier produces")
     if config.platform.arbiter != "round_robin":
         return (f"replay inlines the round-robin bus arbiter "
                 f"(arbiter={config.platform.arbiter!r})")
-    lazy = [s.name for s in mp.specs if s.residency < 1.0]
-    if lazy and not config.pin_all:
-        return (f"non-resident pages would fault (processes {lazy}); "
-                "faults need the event tier")
     return None
 
 
@@ -130,6 +121,10 @@ def _export_counters(platform, synth, thread_name: str, out) -> None:
     _inc(mmu, "context_switches", out.context_switches)
     _inc(mmu, "flushes", out.mmu_flushes)
     _merge_acc(mmu, "miss_latency", out.miss_latency)
+    _inc(mmu, "faults", out.faults)
+    for fault_type, count in out.fault_types.items():
+        _inc(mmu, f"faults.{fault_type}", count)
+    _merge_acc(mmu, "fault_service_latency", out.fault_service_latency)
 
     walker = synth.walker.stats
     _inc(walker, "walks_requested", out.walks_requested)
@@ -166,27 +161,30 @@ def _export_counters(platform, synth, thread_name: str, out) -> None:
 # ---------------------------------------------------------------------------
 # System execution
 # ---------------------------------------------------------------------------
-def _replay_space(space) -> ReplaySpace:
+def _replay_space(space, fault_handler) -> ReplaySpace:
     table = space.page_table
     return ReplaySpace(asid=table.asid, page_table=table,
                        page_size=table.config.page_size,
                        vpn_limit=1 << table.config.vpn_bits,
                        pte_bytes=table.config.pte_bytes,
-                       expected_levels=table.config.levels)
+                       expected_levels=table.config.levels,
+                       fault_handler=fault_handler)
 
 
 def replay_system_run(system, thread_name: str, program: list,
                       spaces: List[ReplaySpace],
                       flush_on_switch: bool = False,
                       on_switch_cost: Optional[Callable[[], int]] = None,
-                      pin_all: bool = False, prefetch_pages: int = 0):
+                      pin_all: bool = False, prefetch_pages: int = 0,
+                      on_slice: Optional[Callable] = None):
     """Mirror of :meth:`SynthesizedSystem.run` with a replayed fabric.
 
     The delegate lifecycle (create, pin, host TLB touches, prefetch, join)
-    executes through the real components; at launch the pre-recorded program
-    runs through :func:`replay_fabric` against the system's real TLB and page
-    tables, and the completion/join events are scheduled at the exact cycles
-    the event tier would produce.
+    executes through the real components; at launch the program runs
+    through :func:`replay_fabric` against the system's real TLB, page tables
+    and fault handlers, and the completion/join events are scheduled at the
+    exact cycles the event tier would produce.  ``on_slice`` serves the
+    program's ``OP_HOOK`` ops (adaptive schedules).
     """
     from ..core.synthesis import SystemRunResult
 
@@ -232,8 +230,17 @@ def replay_system_run(system, thread_name: str, program: list,
             flush_on_switch=flush_on_switch,
             on_switch_cost=on_switch_cost,
             max_cycles=None if limit is None else limit - sim.now,
-            initial_space=0)
-        out = replay_fabric(program, ctx)
+            initial_space=0,
+            max_fault_retries=synth.mmu.config.max_fault_retries,
+            thread_name=synth.memif.thread_name,
+            launch_cycle=sim.now,
+            on_slice=on_slice)
+        try:
+            out = replay_fabric(program, ctx)
+        except ReplayFault as fault:
+            logger.debug("replay of %s abandoned at a fatal fault: %s",
+                         thread_name, fault)
+            raise
         holder["out"] = out
         sim.schedule(out.finish, done)
         if out.last_cycle > out.finish:
@@ -277,7 +284,8 @@ def replay_svm(spec, config=None, num_threads: int = 1):
     program = program_for_workload(spec, bound[0], platform.page_size,
                                    synth.memif.config.max_burst_bytes)
     result = replay_system_run(
-        system, "hwt0", program, [_replay_space(platform.space)],
+        system, "hwt0", program,
+        [_replay_space(platform.space, synth.mmu.fault_handler)],
         pin_all=config.pin_all, prefetch_pages=config.prefetch_pages)
     fabric = max(result.per_thread_fabric_cycles.values(), default=0)
     svm = _svm_result(result, fabric)
@@ -286,26 +294,67 @@ def replay_svm(spec, config=None, num_threads: int = 1):
 
 
 def replay_multiprocess(mp, config=None, flush_on_switch: bool = False):
-    """Replay-tier equivalent of :func:`repro.eval.harness.run_multiprocess`."""
-    from ..eval.harness import (HarnessConfig, _build_mp_system, _svm_result)
+    """Replay-tier equivalent of :func:`repro.eval.harness.run_multiprocess`.
+
+    A static policy's whole plan is lowered into one (cached) program.  An
+    adaptive policy's program starts as a single ``OP_HOOK``; each hook
+    drives the shared epoch planner with the engine's clock and counters
+    and appends the next slice — ``OP_SWITCH`` when the process changes,
+    the slice's ops, then ``OP_FENCE`` + ``OP_HOOK`` — exactly where the
+    event tier's kernel generator would produce it.
+    """
+    from ..eval.harness import (HarnessConfig, _build_mp_system,
+                                _epoch_planner, _svm_result)
     from ..workloads.multiprocess import slice_plan
     config = config or HarnessConfig()
     blocker = mp_replay_blockers(mp, config)
     if blocker is not None:
         raise TierUnavailable(blocker)
 
-    platform, system, spaces, _handlers, op_lists = _build_mp_system(mp, config)
+    platform, system, spaces, handlers, op_lists = _build_mp_system(mp, config)
     synth = system.threads["hwt0"]
-    plan = slice_plan(op_lists, quantum=mp.quantum, policy=mp.policy,
-                      weights=mp.weights, page_size=config.platform.page_size)
-    program = program_for_plan(mp, plan, platform.page_size,
-                               synth.memif.config.max_burst_bytes)
+    page_size = platform.page_size
+    max_burst = synth.memif.config.max_burst_bytes
+    planner = _epoch_planner(mp, config, platform, spaces, handlers, op_lists)
+    on_slice = None
+    if planner is None:
+        plan = slice_plan(op_lists, quantum=mp.quantum, policy=mp.policy,
+                          weights=mp.weights,
+                          page_size=config.platform.page_size)
+        program = program_for_plan(mp, plan, page_size, max_burst)
+    else:
+        bus = planner.bus
+        current = 0
+
+        def on_slice(cycle: int, counters) -> list:
+            nonlocal current
+            bus._fabric = (cycle, counters)
+            try:
+                planned = planner.next_slice()
+            finally:
+                bus._fabric = None
+            if planned is None:
+                return []
+            index, ops = planned
+            ops_out = []
+            if index != current:
+                ops_out.append((OP_SWITCH, index))
+                current = index
+            ops_out += lower_ops(ops, page_size, max_burst)
+            ops_out += [(OP_FENCE,), (OP_HOOK,)]
+            return ops_out
+
+        program = [(OP_HOOK,)]
     result = replay_system_run(
-        system, "hwt0", program, [_replay_space(s) for s in spaces],
+        system, "hwt0", program,
+        [_replay_space(space, handler)
+         for space, handler in zip(spaces, handlers)],
         flush_on_switch=flush_on_switch,
         on_switch_cost=platform.kernel.cost_context_switch,
-        pin_all=config.pin_all, prefetch_pages=config.prefetch_pages)
+        pin_all=config.pin_all, prefetch_pages=config.prefetch_pages,
+        on_slice=on_slice)
     fabric = max(result.per_thread_fabric_cycles.values(), default=0)
-    svm = _svm_result(result, fabric)
+    svm = _svm_result(result, fabric, telemetry=(
+        planner.bus.trace if planner is not None else None))
     svm.tier = "replay"
     return svm

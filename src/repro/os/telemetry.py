@@ -7,7 +7,8 @@ module is the measurement path that makes that possible:
 
 * :class:`TelemetryBus` — attached to one simulation's
   :class:`~repro.sim.stats.StatsRegistry` by the multi-process harness.  The
-  epoch-driven kernel generator brackets every scheduling slice with
+  epoch planner (:class:`~repro.workloads.multiprocess.EpochPlanner`, driven
+  by either execution tier) brackets every scheduling slice with
   :meth:`TelemetryBus.begin_slice` / :meth:`TelemetryBus.end_slice` (called
   at fence-drained instants, so every in-flight operation of the slice has
   retired), and the bus attributes the counter deltas — TLB hits/misses/
@@ -196,7 +197,7 @@ class TelemetryBus:
     """Collects per-slice counter deltas and closes them into epochs.
 
     The bus is deliberately passive: it never schedules events and costs the
-    simulated system nothing.  The epoch-driven kernel generator calls it at
+    simulated system nothing.  The epoch planner calls it at
     instants where the fabric is drained, which is what makes registry-wide
     deltas attributable to the single active process.
     """
@@ -210,16 +211,24 @@ class TelemetryBus:
         #: Fault counters come from each process's own handler component
         #: when every process names one; else from slice attribution.
         self._per_handler = all(info.fault_handler for info in self.processes)
+        #: ``(cycle, counters)`` of a fabric the simulator is not running
+        #: (the replay tier sets it around each slice boundary): the cycle
+        #: stands in for ``sim.now`` and the counters — the MMU/walker ones
+        #: of :data:`COUNTER_FIELDS` — add to the registry's.
+        self._fabric: Optional[Tuple[int, Mapping[str, int]]] = None
         self._epoch_index = 0
-        self._epoch_start = sim.now
+        self._epoch_start = self._now()
         self._active: Optional[str] = None
         self._accumulated: Dict[str, Dict[str, int]] = {}
         self._granted: Dict[str, int] = {}
         self._ops: Dict[str, int] = {}
         self._last = self._read()
-        self._last_now = sim.now
+        self._last_now = self._now()
 
     # ------------------------------------------------------------- sampling
+    def _now(self) -> int:
+        return self.sim.now if self._fabric is None else self._fabric[0]
+
     def _read(self) -> Dict[str, float]:
         """Aggregate the registry into the bus's counter namespace."""
         snap = self.sim.stats.snapshot()
@@ -234,6 +243,9 @@ class TelemetryBus:
                 "os.kernel.cycles.context_switch", 0.0),
             "host_tlb_refills": snap.get("os.kernel.host_tlb_refills", 0.0),
         }
+        if self._fabric is not None:
+            for counter, value in self._fabric[1].items():
+                out[counter] += value
         if self._per_handler:
             for info in self.processes:
                 for counter in ("major_faults", "minor_faults"):
@@ -276,8 +288,9 @@ class TelemetryBus:
             self._active, {counter: 0 for counter in COUNTER_FIELDS})
         for counter in slice_counters:
             bucket[counter] += int(delta.get(counter, 0))
+        now = self._now()
         bucket["run_cycles"] = (bucket.get("run_cycles", 0)
-                                + self.sim.now - self._last_now)
+                                + now - self._last_now)
         if self._per_handler:
             for info in self.processes:
                 for counter in ("major_faults", "minor_faults"):
@@ -288,7 +301,7 @@ class TelemetryBus:
                             {field: 0 for field in COUNTER_FIELDS})
                         owner[counter] += faults
         self._last = now_read
-        self._last_now = self.sim.now
+        self._last_now = now
         self._active = None
 
     def close_epoch(self, remaining: Mapping[str, int]) -> EpochStats:
@@ -306,14 +319,15 @@ class TelemetryBus:
                 remaining_ops=int(remaining.get(info.name, 0)),
                 **{counter: bucket.get(counter, 0)
                    for counter in COUNTER_FIELDS}))
+        now = self._now()
         stats = EpochStats(epoch=self._epoch_index,
                            start_cycle=self._epoch_start,
-                           end_cycle=self.sim.now,
+                           end_cycle=now,
                            base_quantum=self.base_quantum,
                            processes=tuple(samples))
         self.trace.epochs.append(stats)
         self._epoch_index += 1
-        self._epoch_start = self.sim.now
+        self._epoch_start = now
         self._accumulated = {}
         self._granted = {}
         self._ops = {}

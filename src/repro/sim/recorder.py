@@ -4,15 +4,15 @@ A :class:`TraceRecorder` captures the operation stream a kernel generator
 produces — op kind, virtual address, byte count, write flag, issue-gap
 (compute) cycles — as compact NumPy arrays.  A recorded stream is the whole
 timing-free content of a kernel: the hardware thread model consumes the
-operations in program order, so one recording replays deterministically
-through any timing model (the event-driven simulator or the
-:mod:`repro.fastpath` replay engine).
+operations in program order, so the same stream drives any timing model
+(the event-driven simulator, or the :mod:`repro.fastpath` replay engine,
+which lowers kernels straight into its own program form without this
+module).  Recordings serve to compare streams.
 
 Two capture modes exist:
 
 * **functional** (:meth:`TraceRecorder.capture`): drain a kernel generator
-  directly, without building a simulation.  This is how the replay tier
-  records a workload's stream once per shape.
+  directly, without building a simulation.
 * **live** (:meth:`MemoryInterface.attach_recorder
   <repro.hwthread.memif.MemoryInterface>`): the memory interface feeds every
   submitted operation to an attached recorder during an event-tier run, so a
@@ -21,22 +21,18 @@ Two capture modes exist:
   operations, in program order, so the live recording must equal the
   functional recording's ``KIND_MEM`` rows — a test pins this).
 
-NumPy is an optional dependency of this module: without it recording is
-unavailable (:data:`HAVE_NUMPY` is False) and the replay tier reports itself
-ineligible instead of failing.
+NumPy is an optional dependency of this module, imported only when a
+stream is frozen or compared: importing the module costs nothing, and
+without NumPy recording is unavailable (:data:`HAVE_NUMPY` is False).
 """
 
 from __future__ import annotations
 
+import importlib.util
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
+HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
 
 from .process import Access, Burst, Compute, Fence, Operation, Yield
 
@@ -45,9 +41,6 @@ KIND_COMPUTE = 0
 KIND_MEM = 1
 KIND_FENCE = 2
 KIND_YIELD = 3
-#: Process-boundary marker used by multi-process slice programs (never
-#: produced by :meth:`TraceRecorder.capture`; the fastpath planner emits it).
-KIND_SWITCH = 4
 
 
 class UnrecordableOperation(TypeError):
@@ -135,6 +128,7 @@ class TraceRecorder:
         """Freeze the accumulated operations into a :class:`RecordedStream`."""
         if not HAVE_NUMPY:
             raise RuntimeError("recording requires numpy")
+        import numpy as _np
         return RecordedStream(
             kinds=_np.asarray(self._kinds, dtype=_np.int8),
             addrs=_np.asarray(self._addrs, dtype=_np.int64),
@@ -155,6 +149,7 @@ def stream_equal(a: RecordedStream, b: RecordedStream) -> bool:
     """True when two recordings describe the identical op stream."""
     if not HAVE_NUMPY:
         raise RuntimeError("stream comparison requires numpy")
+    import numpy as _np
     return (a.num_ops == b.num_ops
             and bool(_np.array_equal(a.kinds, b.kinds))
             and bool(_np.array_equal(a.addrs, b.addrs))

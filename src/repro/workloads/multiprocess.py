@@ -203,8 +203,8 @@ def _take_chunk(ops: List[Operation], cursor: int,
 
     The one greedy chunking rule mapping scheduler quanta onto operations,
     shared by the static planner (:func:`slice_plan`) and the epoch-driven
-    adaptive path (:func:`adaptive_time_sliced_kernel`) so the two can never
-    map quanta onto operations differently.
+    adaptive path (:class:`EpochPlanner`) so the two can never map quanta
+    onto operations differently.
     """
     chunk: List[Operation] = []
     while cursor < len(ops) and budget > 0:
@@ -275,64 +275,107 @@ def time_sliced_kernel(plan: SlicePlan,
 # ---------------------------------------------------------------------------
 # Online (epoch-driven) slicing
 # ---------------------------------------------------------------------------
-def adaptive_time_sliced_kernel(op_lists: Sequence[List[Operation]],
-                                policy,
-                                config: SchedulerConfig,
-                                bus,
-                                on_switch: Callable[[int], int],
-                                weights: Optional[Sequence[float]] = None,
-                                page_size: int = 4096,
-                                initial_process: int = 0) -> KernelGenerator:
-    """Replan the time-slicing every epoch from live telemetry.
+class EpochPlanner:
+    """The epoch loop of online slicing, one slice per call.
 
-    Unlike :func:`time_sliced_kernel`, no complete plan exists up front: one
-    *epoch* (a rotation granting every unfinished process one quantum-sized
-    run of operations) is materialised at a time.  Every slice is bracketed
-    by ``bus.begin_slice`` / ``bus.end_slice`` with a ``Fence`` in between —
-    the generator resumes only once the fabric has drained, so the counter
-    deltas the :class:`~repro.os.telemetry.TelemetryBus` attributes to the
-    slice are exact.  After each epoch ``policy.observe(epoch_stats)`` may
-    return new per-process quanta (clamped to >= 1) for the next epoch.
+    An *epoch* is a rotation granting every unfinished process one
+    quantum-sized run of operations (:func:`_take_chunk`).  Each call of
+    :meth:`next_slice` — made at a drained instant, where the previous
+    slice's trailing ``Fence`` has retired every operation — closes the open
+    slice on the :class:`~repro.os.telemetry.TelemetryBus`, and after an
+    epoch's last slice closes the epoch and lets ``policy.observe`` replan
+    the quanta (clamped to >= 1); then it opens the next slice.  Both tiers
+    drive this one loop: :func:`adaptive_time_sliced_kernel` for the event
+    tier, the replay engine's slice hook for the fast path.
 
     The initial quanta come from ``policy.quanta`` over the same static
-    demand estimates the static planner uses; ``on_switch`` has the same
-    contract as in :func:`time_sliced_kernel`.  Generators advance lazily,
-    so each epoch's operations are chosen *after* the previous epoch's have
-    executed — this is what makes the feedback genuinely online.
+    demand estimates the static planner uses.
     """
-    demands = thread_demands(op_lists, weights, page_size)
-    initial = policy.quanta(demands, config)
-    quanta = {d.name: max(1, initial[d.name]) for d in demands}
 
-    def generate() -> KernelGenerator:
-        cursors = [0] * len(op_lists)
-        current = initial_process
-        while any(cursors[i] < len(op_lists[i]) for i in range(len(op_lists))):
-            for index, ops in enumerate(op_lists):
+    def __init__(self, op_lists: Sequence[List[Operation]], policy,
+                 config: SchedulerConfig, bus,
+                 weights: Optional[Sequence[float]] = None,
+                 page_size: int = 4096):
+        self.op_lists = op_lists
+        self.policy = policy
+        self.bus = bus
+        demands = thread_demands(op_lists, weights, page_size)
+        initial = policy.quanta(demands, config)
+        self.quanta = {d.name: max(1, initial[d.name]) for d in demands}
+        self._cursors = [0] * len(op_lists)
+        self._index = 0            # next process of the current rotation
+        self._rotating = False
+        self._open = False
+
+    def next_slice(self) -> Optional[Tuple[int, List[Operation]]]:
+        """Close the open slice and open the next: ``(process, ops)``.
+
+        ``None`` once every process has run all of its operations.
+        """
+        bus = self.bus
+        op_lists = self.op_lists
+        cursors = self._cursors
+        if self._open:
+            bus.end_slice()
+            self._open = False
+        while True:
+            if not self._rotating:
+                if all(cursors[i] >= len(op_lists[i])
+                       for i in range(len(op_lists))):
+                    return None
+                self._rotating = True
+                self._index = 0
+            while self._index < len(op_lists):
+                index = self._index
+                self._index += 1
+                ops = op_lists[index]
                 if cursors[index] >= len(ops):
                     continue
-                quantum = quanta[str(index)]
+                quantum = self.quanta[str(index)]
                 chunk, cursors[index] = _take_chunk(ops, cursors[index],
                                                     quantum)
                 bus.begin_slice(str(index), quantum, len(chunk))
-                if index != current:
-                    # The previous slice's trailing Fence has drained the
-                    # fabric; the switch cost lands on the incoming slice.
-                    stall = on_switch(index)
-                    current = index
-                    if stall > 0:
-                        yield Compute(cycles=stall)
-                yield from chunk
-                yield Fence()
-                # The generator is only resumed here once every operation of
-                # the slice has retired: the drained instant.
-                bus.end_slice()
+                self._open = True
+                return index, chunk
+            self._rotating = False
             epoch = bus.close_epoch(
                 remaining={str(i): len(op_lists[i]) - cursors[i]
                            for i in range(len(op_lists))})
-            replanned = policy.observe(epoch)
+            replanned = self.policy.observe(epoch)
             if replanned:
                 for name, value in replanned.items():
-                    if name in quanta:
-                        quanta[name] = max(1, int(value))
+                    if name in self.quanta:
+                        self.quanta[name] = max(1, int(value))
+
+
+def adaptive_time_sliced_kernel(planner: EpochPlanner,
+                                on_switch: Callable[[int], int],
+                                initial_process: int = 0) -> KernelGenerator:
+    """Replan the time-slicing every epoch from live telemetry.
+
+    Unlike :func:`time_sliced_kernel`, no complete plan exists up front:
+    ``planner`` hands out one slice at a time.  Every slice ends in a
+    ``Fence`` and the generator resumes only once the fabric has drained, so
+    the counter deltas the planner's
+    :class:`~repro.os.telemetry.TelemetryBus` attributes to the slice are
+    exact.  ``on_switch`` has the same contract as in
+    :func:`time_sliced_kernel`; the switch cost lands on the incoming slice.
+    Generators advance lazily, so each epoch's operations are chosen *after*
+    the previous epoch's have executed — this is what makes the feedback
+    genuinely online.
+    """
+    def generate() -> KernelGenerator:
+        current = initial_process
+        while True:
+            planned = planner.next_slice()
+            if planned is None:
+                return
+            index, chunk = planned
+            if index != current:
+                stall = on_switch(index)
+                current = index
+                if stall > 0:
+                    yield Compute(cycles=stall)
+            yield from chunk
+            yield Fence()
     return generate()

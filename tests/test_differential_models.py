@@ -135,7 +135,7 @@ from repro.sim.recorder import HAVE_NUMPY, TraceRecorder, stream_equal
 from repro.vm.pagetable import HUGE_PAGE_SIZE, levels_for_page_size
 
 needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="replay tier requires numpy")
+    not HAVE_NUMPY, reason="recording requires numpy")
 
 #: Every scalar field of SVMResult/RunOutcome that both tiers must agree on.
 RESULT_FIELDS = ("total_cycles", "fabric_cycles", "tlb_hit_rate",
@@ -146,13 +146,22 @@ RESULT_FIELDS = ("total_cycles", "fabric_cycles", "tlb_hit_rate",
 
 
 def assert_svm_results_equal(event, replay):
-    """Field-for-field equality, including the full component stats dump."""
+    """Field-for-field equality, including the full component stats dump
+    and every epoch of the scheduling telemetry."""
     for name in RESULT_FIELDS:
         assert getattr(event, name) == getattr(replay, name), name
     stats_e = event.system_result.stats
     stats_r = replay.system_result.stats
     for key in sorted(set(stats_e) | set(stats_r)):
         assert stats_e.get(key) == stats_r.get(key), f"stats[{key}]"
+    if event.telemetry is None:
+        assert replay.telemetry is None
+        return
+    assert replay.telemetry.processes == event.telemetry.processes
+    assert replay.telemetry.num_epochs == event.telemetry.num_epochs
+    for index, (epoch_e, epoch_r) in enumerate(
+            zip(event.telemetry.epochs, replay.telemetry.epochs)):
+        assert epoch_e == epoch_r, f"epoch {index}"
 
 
 #: Knobs the replay engine's write-back identities lean on: TLB
@@ -189,7 +198,6 @@ def assert_tiers_agree(spec, config):
     assert_svm_results_equal(event, replay)
 
 
-@needs_numpy
 @settings(max_examples=8, deadline=None)
 @given(kernel=st.sampled_from(sorted(SIZES)),
        size_index=st.integers(min_value=0, max_value=7),
@@ -232,7 +240,6 @@ def _knob_grid():
     return grid
 
 
-@needs_numpy
 @pytest.mark.parametrize("kernel,seed,knobs", _knob_grid())
 def test_replay_tier_matches_event_tier_across_knob_grid(kernel, seed, knobs):
     """Full stats dump equality on a fixed grid of engine-relevant knobs."""
@@ -240,7 +247,6 @@ def test_replay_tier_matches_event_tier_across_knob_grid(kernel, seed, knobs):
     assert_tiers_agree(spec, knob_config(*knobs))
 
 
-@needs_numpy
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16),
        procs=st.integers(min_value=2, max_value=3),
@@ -258,6 +264,7 @@ def test_replay_tier_matches_event_tier_multiprocess(seed, procs, policy,
     assert_svm_results_equal(event, replay)
 
 
+@needs_numpy
 @settings(max_examples=8, deadline=None)
 @given(kernel=st.sampled_from(sorted(SIZES)),
        seed=st.integers(min_value=0, max_value=2**16))
@@ -278,7 +285,6 @@ def test_recorded_streams_are_deterministic(kernel, seed):
     assert stream_equal(streams[0], streams[1])
 
 
-@needs_numpy
 @settings(max_examples=4, deadline=None)
 @given(kernel=st.sampled_from(sorted(SIZES)),
        seed=st.integers(min_value=0, max_value=2**16))
@@ -293,3 +299,106 @@ def test_replay_is_deterministic_across_cache_states(kernel, seed):
     warm = run_svm(spec, config, tier="replay")
     assert_svm_results_equal(cold, recold)
     assert_svm_results_equal(cold, warm)
+
+
+# ---------------------------------------------------------------------------
+# Replay with demand faults and adaptive (epoch-wise) scheduling
+# ---------------------------------------------------------------------------
+#
+# Faults are serviced inside the engine by the real handlers (host TLB
+# touches included), and adaptive policies replan slice by slice from the
+# telemetry the engine feeds the shared epoch planner: both must reproduce
+# the event tier exactly, telemetry trace included.
+
+ADAPTIVE_POLICIES = ("adaptive-fault", "miss-fair", "host-aware")
+CONTENTION_KERNELS = ("vecadd", "random_access", "linked_list")
+
+
+def assert_mp_tiers_agree(mp, config, flush_on_switch=False):
+    event = run_multiprocess(mp, config, flush_on_switch=flush_on_switch,
+                             tier="event")
+    replay = run_multiprocess(mp, config, flush_on_switch=flush_on_switch,
+                              tier="replay")
+    assert event.tier == "event"
+    assert replay.tier == "replay"
+    assert_svm_results_equal(event, replay)
+    return event
+
+
+@settings(max_examples=12, deadline=None)
+@given(policy=st.sampled_from(ADAPTIVE_POLICIES),
+       residency=st.sampled_from((0.5, 0.75)),
+       host_shares_tlb=st.booleans(),
+       kernels=st.lists(st.sampled_from(CONTENTION_KERNELS), min_size=2,
+                        max_size=4),
+       quantum=st.sampled_from((500, 2000, 5000)),
+       outstanding=st.sampled_from((1, 8)),
+       prefetch=st.sampled_from((0, 2)),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_replay_matches_event_tier_adaptive_faulting(policy, residency,
+                                                     host_shares_tlb,
+                                                     kernels, quantum,
+                                                     outstanding, prefetch,
+                                                     seed):
+    mp = contention(kernels, scale="tiny", quantum=quantum, policy=policy,
+                    residency=residency, seed=seed)
+    config = HarnessConfig(tlb_entries=16, max_outstanding=outstanding,
+                           tlb_prefetch=prefetch,
+                           host_shares_tlb=host_shares_tlb)
+    event = assert_mp_tiers_agree(mp, config)
+    assert event.faults > 0
+    if quantum <= 2000:
+        assert event.telemetry.num_epochs >= 3
+
+
+def _golden_fig14_points(count=5):
+    import json
+    from pathlib import Path
+    path = Path(__file__).parent / "golden" / "experiments_golden.json"
+    points = json.loads(path.read_text())["fig14"]["points"]
+    return [pytest.param(point, id=f"fig14-point{index}")
+            for index, point in enumerate(points[:count])]
+
+
+@pytest.mark.parametrize("point", _golden_fig14_points())
+def test_replay_matches_event_tier_on_golden_fig14_points(point,
+                                                          monkeypatch):
+    """Five evaluated points of the fig14 golden: each tier reproduces the
+    run behind ``_fig14_point`` exactly, and the point's pinned objectives
+    come back from the replay tier ``_fig14_point`` now uses."""
+    from repro.eval import experiments, harness
+
+    real = harness.run_multiprocess
+    tiers = []
+
+    def both_tiers(mp, config, **kwargs):
+        kwargs.pop("tier", None)
+        event = real(mp, config, tier="event", **kwargs)
+        replay = real(mp, config, tier="auto", **kwargs)
+        assert_svm_results_equal(event, replay)
+        tiers.append(replay.tier)
+        return replay
+
+    monkeypatch.setattr(harness, "run_multiprocess", both_tiers)
+    values = experiments._fig14_point(point["params"], scale="tiny")
+    assert tiers == ["replay"]
+    for objective in ("cycles", "luts", "miss_stall_cycles",
+                      "host_refill_rate", "fairness"):
+        assert values[objective] == point[objective], objective
+
+
+@pytest.mark.parametrize("residency", (0.5, 0.9))
+@pytest.mark.parametrize("kernel", sorted(SIZES))
+def test_replay_matches_event_tier_single_process_faulting(kernel,
+                                                           residency):
+    spec = workload(kernel, scale="tiny", residency=residency, seed=3,
+                    **SIZES[kernel][-1])
+    for config in (HarnessConfig(tlb_entries=16),
+                   HarnessConfig(tlb_entries=8, max_outstanding=8,
+                                 tlb_prefetch=2, host_shares_tlb=True)):
+        event = run_svm(spec, config, tier="event")
+        replay = run_svm(spec, config, tier="replay")
+        assert replay.tier == "replay"
+        assert_svm_results_equal(event, replay)
+        if residency == 0.5:
+            assert event.faults > 0

@@ -7,15 +7,29 @@ live), the content-keyed program cache, tier selection plumbing through
 jobs/runner/harness, and the zero-cost tracing contract.
 """
 
+import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.core.platform import PlatformConfig
 from repro.eval.harness import (HarnessConfig, _build_svm_system,
                                 run_multiprocess, run_svm)
 from repro.exec.jobs import ExperimentJob, run_job
 from repro.exec.runner import SweepRunner
-from repro.fastpath.record import clear_program_cache, record_stats
+from repro.fastpath import replay
+from repro.fastpath.engine import (OP_COMPUTE, OP_FENCE, OP_MEM, OP_SWITCH,
+                                   OP_YIELD, ReplayFault)
+from repro.fastpath.record import (clear_program_cache, lower_ops,
+                                   record_stats)
 from repro.fastpath.replay import (TierUnavailable, mp_replay_blockers,
                                    svm_replay_blockers)
+from repro.os.fault_handler import FaultHandlerConfig
 from repro.sim.process import Access, Burst, Compute, Fence, Yield
 from repro.sim.recorder import (HAVE_NUMPY, KIND_COMPUTE, KIND_FENCE,
                                 KIND_MEM, KIND_YIELD, TraceRecorder,
@@ -24,7 +38,7 @@ from repro.sim.trace import Tracer
 from repro.workloads import contention, workload
 
 needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="replay tier requires numpy")
+    not HAVE_NUMPY, reason="recording requires numpy")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +108,6 @@ class TestTraceRecorder:
 # ---------------------------------------------------------------------------
 # Program cache
 # ---------------------------------------------------------------------------
-@needs_numpy
 class TestProgramCache:
     def test_stream_recorded_once_then_reused(self):
         spec = workload("vecadd", scale="tiny", n=512)
@@ -129,7 +142,6 @@ class TestTierPlumbing:
         outcome = run_job(job)
         assert outcome.tier == "event"
 
-    @needs_numpy
     def test_replay_capable_models_honor_the_tier_request(self):
         spec = workload("vecadd", scale="tiny", n=256)
         job = ExperimentJob(kind="svm", workload=spec,
@@ -152,27 +164,137 @@ class TestTierPlumbing:
         assert result.tier_reason is not None
         assert "num_threads" in result.tier_reason
 
-    def test_adaptive_policies_fall_back_explicitly(self):
+    def test_adaptive_faulting_runs_replay(self):
         mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000,
-                        policy="adaptive-fault", n=1024)
+                        policy="adaptive-fault", residency=0.5, n=1024)
         result = run_multiprocess(mp, HarnessConfig(tlb_entries=32),
                                   tier="auto")
+        assert result.tier == "replay"
+        assert result.tier_reason is None
+        assert result.faults > 0
+        assert result.telemetry is not None
+        assert result.telemetry.num_epochs > 0
+
+    def test_blocked_adaptive_run_falls_back_with_a_reason(self):
+        mp = contention(["vecadd"] * 2, scale="tiny", quantum=2000,
+                        policy="adaptive-fault", n=1024)
+        config = HarnessConfig(
+            platform=PlatformConfig(arbiter="fixed_priority"),
+            tlb_entries=32)
+        result = run_multiprocess(mp, config, tier="auto")
         assert result.tier == "event"
         assert result.tier_reason is not None
-        assert "adaptive" in result.tier_reason
+        assert "arbiter" in result.tier_reason
+
+    def test_fallback_reason_is_logged(self, caplog):
+        spec = workload("vecadd", scale="tiny", n=256)
+        with caplog.at_level(logging.INFO, logger="repro.eval.harness"):
+            result = run_svm(spec, HarnessConfig(tlb_entries=16),
+                             num_threads=2, tier="auto")
+        assert result.tier == "event"
+        (record,) = [r for r in caplog.records
+                     if r.name == "repro.eval.harness"]
+        assert record.levelno == logging.INFO
+        assert result.tier_reason in record.getMessage()
+
+    def test_abandoned_replay_is_logged(self, caplog):
+        """A fatal fault mid-replay is logged where it happens, and the
+        fallback where the harness takes it."""
+        platform = PlatformConfig(
+            fault_handler=FaultHandlerConfig(max_queue_depth=1))
+        config = HarnessConfig(platform=platform, tlb_entries=8,
+                               max_outstanding=8)
+        spec = workload("vecadd", scale="tiny", residency=0.25)
+        with caplog.at_level(logging.DEBUG, logger="repro"):
+            result = run_svm(spec, config, tier="auto")
+        assert result.tier == "event"
+        assert "overflow" in result.tier_reason
+        assert not result.ok          # the event tier models the abort
+        names = [r.name for r in caplog.records]
+        assert "repro.fastpath.replay" in names
+        assert "repro.eval.harness" in names
+
+    def test_switch_with_a_fault_in_flight_is_refused(self, monkeypatch):
+        """Replay's one fault queue stands in for each space's handler only
+        while every switch finds it drained, as a fence before it ensures."""
+        plan_program = replay.program_for_plan
+
+        def unfenced(*args, **kwargs):
+            program = plan_program(*args, **kwargs)
+            return [op for op, after in zip(program, program[1:] + [None])
+                    if not (op == (OP_FENCE,) and after is not None
+                            and after[0] == OP_SWITCH)]
+
+        monkeypatch.setattr(replay, "program_for_plan", unfenced)
+        mp = contention(["vecadd"] * 2, scale="tiny", quantum=500,
+                        policy="round-robin", residency=0.5, n=1024)
+        with pytest.raises(ReplayFault, match="fault in flight"):
+            run_multiprocess(mp, HarnessConfig(tlb_entries=32,
+                                               max_outstanding=8),
+                             tier="replay")
+
+    def test_replay_never_imports_numpy(self):
+        """Programs are lowered in pure Python: a fig14 point and a
+        single-process run on ``tier="auto"`` replay and never load numpy."""
+        script = textwrap.dedent("""
+            import sys
+            from repro import HarnessConfig, workload
+            from repro.eval import experiments
+            from repro.eval import harness
+            tiers = []
+            run = harness.run_multiprocess
+            def spy(*args, **kwargs):
+                result = run(*args, **kwargs)
+                tiers.append(result.tier)
+                return result
+            harness.run_multiprocess = spy
+            experiments._fig14_point(
+                {"tlb_entries": 16, "tlb_associativity": 2,
+                 "max_outstanding": 4, "max_burst_bytes": 128,
+                 "shared_walker": False, "tlb_prefetch": 2,
+                 "policy": "miss-fair", "processes": 3, "quantum": 5000},
+                scale="tiny", fraction=0.25)
+            assert tiers == ["replay"], tiers
+            result = harness.run_svm(workload("vecadd", scale="tiny", n=256),
+                                     HarnessConfig(tlb_entries=16),
+                                     tier="auto")
+            assert result.tier == "replay", result.tier_reason
+            assert "numpy" not in sys.modules
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_lowering_chunks_like_the_memory_interface(self):
+        """Memory ops split at page and burst boundaries; a burst by its
+        total footprint."""
+        ops = [Compute(cycles=3), Access(addr=0x1ff8, size=16),
+               Burst(addr=0x3000, size=8, count=80, is_write=True),
+               Fence(), Yield(), Access(addr=0x5000, size=4)]
+        assert lower_ops(ops, 4096, 256) == [
+            (OP_COMPUTE, 3),
+            (OP_MEM, [(0x1ff8, 8, False), (0x2000, 8, False)], 16),
+            (OP_MEM, [(0x3000, 256, True), (0x3100, 256, True),
+                      (0x3200, 128, True)], 640),
+            (OP_FENCE,), (OP_YIELD,),
+            (OP_MEM, [(0x5000, 4, False)], 4)]
+        assert lower_ops(ops, 1 << 21, 512)[1:3] == [
+            (OP_MEM, [(0x1ff8, 16, False)], 16),
+            (OP_MEM, [(0x3000, 512, True), (0x3200, 128, True)], 640)]
 
     def test_blockers_report_none_for_eligible_runs(self):
         spec = workload("vecadd", scale="tiny", n=256)
         config = HarnessConfig(tlb_entries=16)
-        if HAVE_NUMPY:
-            assert svm_replay_blockers(spec, config, 1) is None
+        assert svm_replay_blockers(spec, config, 1) is None
         assert svm_replay_blockers(spec, config, 2) is not None
         mp = contention(["vecadd"] * 2, scale="tiny", policy="round-robin",
                         n=1024)
-        if HAVE_NUMPY:
-            assert mp_replay_blockers(mp, config) is None
+        assert mp_replay_blockers(mp, config) is None
 
-    @needs_numpy
     def test_runner_stats_count_tiers(self):
         spec = workload("vecadd", scale="tiny", n=256)
         config = HarnessConfig(tlb_entries=16)

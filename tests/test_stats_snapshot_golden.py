@@ -3,10 +3,12 @@
 ``tests/golden/stats_snapshots_golden.json`` pins, for a handful of event-
 tier runs, the full ``platform.snapshot()`` as an ordered list of
 ``[key, value]`` pairs.  Keys must appear in the same order (a statistic
-enters its group's snapshot when first used — the replay tier's stats
-write-back depends on that) and every value must match exactly, int vs
-float included.  Any hot-path rewrite of the simulator, its components or
-the stats registry must leave all of it unchanged.
+enters its group's snapshot when first used) and every value must match
+exactly, int vs float included.  Any hot-path rewrite of the simulator, its
+components or the stats registry must leave all of it unchanged.  The
+replay tier's write-back reproduces every value but not this key order
+(its counters enter their groups at write-back), and nothing downstream
+reads the order; the differential suite compares the two tiers by key.
 
 The runs cover: one fig14 candidate at every fidelity-ladder rung, one
 fig13-style adaptive contention mix, one faulting single thread at
@@ -42,7 +44,9 @@ def _fig14(fraction: float):
         captured = []
 
         def spy(*args, **kwargs):
-            result = run_multiprocess(*args, **kwargs)
+            # _fig14_point asks for tier="auto"; pin the event tier this
+            # golden documents.
+            result = run_multiprocess(*args, **dict(kwargs, tier="event"))
             captured.append(result.system_result.stats)
             return result
 
